@@ -20,7 +20,6 @@ int main(int argc, char** argv) {
   using namespace ghd;
   const bool full = bench::WantFull(argc, argv);
   const bool force = bench::WantForce(argc, argv);
-  const int num_threads = bench::ThreadsArg(argc, argv, 1);
 #if GHD_OBS_ENABLED
   obs::EnableCounters(true);
 #endif
@@ -40,7 +39,6 @@ int main(int argc, char** argv) {
       if (ticks > 0) budget.SetTickBudget(ticks);
       AnytimeOptions options;
       options.budget = &budget;
-      options.num_threads = num_threads;
 #if GHD_OBS_ENABLED
       obs::ResetCounters();
 #endif
@@ -59,7 +57,7 @@ int main(int argc, char** argv) {
       record.instance = inst.name;
       record.wall_ms = ms;
       record.states = budget.ticks_used();
-      record.threads = num_threads;
+      record.threads = 1;
       record.extra.emplace_back("tick_budget", std::to_string(ticks));
       record.extra.emplace_back("lb", std::to_string(r.lower_bound));
       record.extra.emplace_back("ub", std::to_string(r.upper_bound));

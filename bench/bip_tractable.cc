@@ -27,7 +27,6 @@ int main(int argc, char** argv) {
   std::cout << "E3: ghw <= k decision on BIP(1) instances: closure decider vs\n"
             << "    general exact search (paper: BIP classes are tractable)\n\n";
   const int k = 2;
-  const int num_threads = bench::ThreadsArg(argc, argv, 1);
   Table table({"n", "m", "closure_size", "dominated", "closure_ms",
                "decide_ms", "bip_states", "exact_ms", "verdicts_agree"});
   std::vector<bench::BenchRecord> records;
@@ -58,7 +57,6 @@ int main(int argc, char** argv) {
       dominated += generated.dominated_pruned;
       WallTimer t1;
       KDeciderOptions decider;
-      decider.num_threads = num_threads;
       KDeciderResult bip = DecideWidthK(h, generated.family, k, decider);
       const double decide_ms = t1.ElapsedMillis();
       decide_total += decide_ms;
@@ -84,7 +82,7 @@ int main(int argc, char** argv) {
     record.instance = "rand_bip1_n" + std::to_string(n);
     record.wall_ms = (closure_total + decide_total) / 3;
     record.states = states / 3;
-    record.threads = num_threads;
+    record.threads = 1;
     record.extra.emplace_back("closure_size", std::to_string(closure_size));
     record.extra.emplace_back("closure_ms",
                               std::to_string(closure_total / 3));

@@ -148,7 +148,7 @@ CachedDecideResult CachedDecideHw(const PreparedInstance& p, int k,
   // is identical across every isomorphic re-ask.
   const Hypergraph canon_h = CanonicalInstance(p);
   const GuardFamily family = OriginalEdgesFamily(canon_h);
-  KLadderContext ladder(canon_h, family, options.num_threads);
+  KLadderContext ladder(canon_h, family);
   CacheEntry learned;
   // Trivial certified floor: any instance with an edge needs a guard.
   learned.hw_lb = canon_h.num_edges() > 0 ? 1 : 0;
@@ -158,8 +158,11 @@ CachedDecideResult CachedDecideHw(const PreparedInstance& p, int k,
                                           &ladder);
     result.outcome = r.outcome;
     if (!r.decided) {
-      // Truncated: nothing certified at this rung, and nothing below it is
-      // new. Merge what the completed rungs proved and report truncation.
+      // Truncated: this rung certified nothing, so the ask is undecided even
+      // when lower rungs refuted (hw > kk - 1 says nothing about hw <= k).
+      // Merge what the completed rungs proved and report truncation.
+      result.decided = false;
+      result.exists = false;
       break;
     }
     if (r.exists) {

@@ -40,7 +40,8 @@ struct AnytimeOptions {
   /// null a private root budget is built from the three fields above and
   /// armed from GHD_FAULT_TICKS.
   Budget* budget = nullptr;
-  /// Threads for the engines that support parallelism; 1 = sequential.
+  /// Ignored (every engine is sequential); removed together with the
+  /// repository benchmark's `num_threads = 1` assignments.
   int num_threads = 1;
   /// Restarts for the randomized upper-bound heuristic.
   int heuristic_restarts = 8;

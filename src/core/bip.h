@@ -10,8 +10,7 @@
 // enumeration — every subedge e ∩ (f1 ∪ ... ∪ fj) is a union of at most j
 // atoms, so the frontier walks atom combinations instead of edge
 // combinations, dedups through the engine-wide SetInterner, and runs under
-// the shared Budget governor. Closure generation parallelizes over parent
-// edges; the emitted family is deterministic at every thread count.
+// the shared Budget governor. The emitted family is deterministic.
 #ifndef GHD_CORE_BIP_H_
 #define GHD_CORE_BIP_H_
 
@@ -45,10 +44,6 @@ struct SubedgeClosureOptions {
   /// ClosureStop::kBudget (sound for positive answers; negative answers over
   /// a truncated family are not decisions — see BipGhwDecide).
   Budget* budget = nullptr;
-  /// Worker threads for per-parent-edge candidate generation; 1 (default)
-  /// runs sequentially, <= 0 uses every hardware thread. The emitted family
-  /// (content and order) is identical at every thread count.
-  int num_threads = 1;
 };
 
 /// How closure generation ended.

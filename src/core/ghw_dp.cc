@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
-#include <memory>
+#include <unordered_map>
 #include <vector>
 
 #include "hypergraph/flat_hypergraph.h"
@@ -14,13 +14,10 @@
 #include "util/check.h"
 #include "util/hash_mix.h"
 #include "util/set_interner.h"
-#include "util/striped_map.h"
-#include "util/thread_pool.h"
 
 namespace ghd {
 
-std::optional<int> GhwBySubsetDp(const Hypergraph& h, int num_threads,
-                                 Budget* budget) {
+std::optional<int> GhwBySubsetDp(const Hypergraph& h, Budget* budget) {
   const int n = h.num_vertices();
   if (n > kMaxGhwDpVertices) return std::nullopt;
   if (n == 0 || h.num_edges() == 0) return 0;
@@ -34,16 +31,17 @@ std::optional<int> GhwBySubsetDp(const Hypergraph& h, int num_threads,
   }
   std::vector<uint8_t> dp(static_cast<size_t>(full) + 1, 0);
   // Bags are interned and the cover memo is keyed by the 32-bit id: probes
-  // hash one integer, and the striped map stores no bitsets at all. The memo
-  // must not outlive the interner that issued its keys — both are scoped to
-  // this call.
-  SetInterner interner(ThreadPool::EffectiveThreads(num_threads) > 1 ? 16 : 1);
-  StripedMap<uint32_t, int, IdHash> cover_cache;
+  // hash one integer, and the memo stores no bitsets at all. The memo must
+  // not outlive the interner that issued its keys — both are scoped to this
+  // call.
+  SetInterner interner;
+  std::unordered_map<uint32_t, int, IdHash> cover_cache;
   auto cover_cost = [&](const VertexSet& bag) {
     const uint32_t id = interner.Intern(bag);
-    if (const int* hit = cover_cache.Find(id)) {
+    const auto hit = cover_cache.find(id);
+    if (hit != cover_cache.end()) {
       GHD_COUNT(kCoverCacheHits);
-      return *hit;
+      return hit->second;
     }
     GHD_COUNT(kCoverCacheMisses);
     // Only edges meeting the bag can appear in a minimum cover (a disjoint
@@ -57,7 +55,7 @@ std::optional<int> GhwBySubsetDp(const Hypergraph& h, int num_threads,
     auto size = ExactSetCoverSize(bag, candidates);
     GHD_CHECK(size.has_value());
     GHD_HISTO(kCoverSize, *size);
-    return *cover_cache.Insert(id, *size);
+    return cover_cache.emplace(id, *size).first->second;
   };
   auto to_vertexset = [n](uint32_t mask) {
     return VertexSet::FromWord(n, mask);
@@ -79,40 +77,11 @@ std::optional<int> GhwBySubsetDp(const Hypergraph& h, int num_threads,
     dp[mask] = static_cast<uint8_t>(best);
   };
 
-  const int threads = ThreadPool::EffectiveThreads(num_threads);
-  if (threads <= 1) {
-    GHD_SPAN_VAR(span, "ghw", "subset-dp");
-    span.SetArg("vertices", n);
-    for (uint32_t mask = 1; mask <= full; ++mask) {
-      if (budget != nullptr && !budget->Tick()) return std::nullopt;
-      solve_mask(mask);
-    }
-    return static_cast<int>(dp[full]);
-  }
-
-  // Parallel schedule: dp[mask] depends only on masks with one fewer bit, so
-  // masks grouped by popcount form layers with no intra-layer dependencies.
-  ThreadPool pool(threads);
-  std::vector<std::vector<uint32_t>> layers(n + 1);
+  GHD_SPAN_VAR(span, "ghw", "subset-dp");
+  span.SetArg("vertices", n);
   for (uint32_t mask = 1; mask <= full; ++mask) {
-    layers[std::popcount(mask)].push_back(mask);
-  }
-  for (int c = 1; c <= n; ++c) {
-    const std::vector<uint32_t>& layer = layers[c];
-    GHD_SPAN_VAR(span, "ghw", "subset-dp-layer");
-    GHD_BOARD_SET(kDpLayer, c);
-    span.SetArg("popcount", c);
-    span.SetArg("cells", static_cast<long>(layer.size()));
-    ParallelFor(
-        &pool, 0, static_cast<int>(layer.size()),
-        [&](int i) {
-          // A stopped budget skips the remaining cells; the partial table is
-          // discarded below, never read.
-          if (budget != nullptr && !budget->Tick()) return;
-          solve_mask(layer[i]);
-        },
-        /*grain=*/16);
-    if (budget != nullptr && budget->Stopped()) return std::nullopt;
+    if (budget != nullptr && !budget->Tick()) return std::nullopt;
+    solve_mask(mask);
   }
   return static_cast<int>(dp[full]);
 }

@@ -38,12 +38,6 @@ struct ExactGhwOptions {
   /// Stop as soon as the incumbent width is <= this value (0 = disabled);
   /// used by the decision procedure.
   int stop_at_width = 0;
-  /// Executors for the branch and bound: 1 (default) = deterministic
-  /// sequential search, n > 1 = parallel root branching over a shared
-  /// incumbent on n threads, <= 0 = all hardware threads. The final width is
-  /// the same at every thread count when the search completes; the witness
-  /// ordering may differ.
-  int num_threads = 1;
 };
 
 /// Search outcome; `exact` means the ordering space was exhausted, in which

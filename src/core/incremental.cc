@@ -97,7 +97,6 @@ IncrementalDecideResult IncrementalSolver::DecideHw(int k) {
   IncrementalDecideResult out;
   KDeciderOptions dopts;
   dopts.budget = options_.budget;
-  dopts.num_threads = options_.num_threads;
 
   // Layer 1: the version verdict memo. Exact repeats (remove, decide,
   // re-insert, decide — the dominant mutation-stream shape) are served here
@@ -189,8 +188,7 @@ IncrementalDecideResult IncrementalSolver::DecideHw(int k) {
   // memo ids line up with future deltas; certified facts are dehydrated
   // into canonical space for the cache afterwards.
   family_ = OriginalEdgesFamily(current_);
-  ladder_ = std::make_unique<KLadderContext>(current_, family_,
-                                             options_.num_threads);
+  ladder_ = std::make_unique<KLadderContext>(current_, family_);
   ladder_->PersistNegatives();
   const KDeciderResult r = DecideWidthK(current_, family_, k, dopts,
                                         ladder_.get());

@@ -62,8 +62,6 @@ struct IncrementalOptions {
   /// this, the warm ladder is dropped instead of swept (a mostly-dirty memo
   /// is not worth the sweep, and the full-solve path gets a cache shot).
   double max_dirty_fraction = 0.25;
-  /// Threads for the underlying deciders (1 = deterministic sequential).
-  int num_threads = 1;
   /// Optional decomposition cache consulted (and fed) by the cold-path full
   /// solves, serving returns to a previously-seen *isomorphism class*. Exact
   /// version repeats are caught earlier and cheaper by the built-in verdict
@@ -108,8 +106,7 @@ struct IncrementalDecideResult {
 /// next delta). Invariant, enforced by the equivalence tests: every verdict
 /// equals the from-scratch verdict on the current version.
 ///
-/// Not thread-safe: one solver serves one mutation stream. The underlying
-/// deciders still parallelize internally per `options.num_threads`.
+/// Not thread-safe: one solver serves one mutation stream.
 class IncrementalSolver {
  public:
   explicit IncrementalSolver(Hypergraph initial,

@@ -1,12 +1,11 @@
 #include "core/k_decider.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstring>
 #include <map>
 #include <memory>
-#include <mutex>
 #include <unordered_map>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -17,8 +16,6 @@
 #include "util/check.h"
 #include "util/hash_mix.h"
 #include "util/set_interner.h"
-#include "util/striped_map.h"
-#include "util/thread_pool.h"
 
 namespace ghd {
 namespace internal {
@@ -42,8 +39,7 @@ struct StateKey {
 // splitmix64 over the packed ids. The non-interned fallback for hashing a
 // (comp, conn) pair of raw bitsets is HashCombine(comp.Hash(), conn.Hash())
 // (util/hash_mix.h) — the old `h1 * 1000003 + h2` combiner left h2's low
-// bits nearly intact, which striped both the memo shards and the bucket
-// arrays underneath them.
+// bits nearly intact, which striped the memo's bucket array.
 struct StateKeyHash {
   size_t operator()(const StateKey& k) const {
     return static_cast<size_t>(SplitMix64(PackIds(k.comp_id, k.conn_id)));
@@ -62,13 +58,17 @@ struct StateValue {
   std::vector<StateKey> children;
 };
 
+// Plain node-based maps: a search runs on one thread, so nothing is locked.
+using PositiveMemo = std::unordered_map<StateKey, StateValue, StateKeyHash>;
+using NegativeMemo = std::unordered_set<StateKey, StateKeyHash>;  // key-only
+
 // Negative search state persisted across same-k calls when a KLadderContext
 // arms PersistNegatives: the key-only refutation memo plus the
 // negative-separator cache. Refutations are k-specific, so a context keeps
 // one store per exact k and a call only ever touches its own k's store —
 // the segregation that keeps cross-k poisoning structurally impossible.
 struct NegativeStore {
-  StripedMap<StateKey, char, StateKeyHash> memo;
+  NegativeMemo memo;
   NegSeparatorCache cache;
 };
 
@@ -79,14 +79,10 @@ struct NegativeStore {
 // version and rebuilds the index; the interner is append-only, so ids issued
 // for the old edge universe simply linger as unreferenced garbage.
 struct LadderState {
-  LadderState(const Hypergraph& h_in, const GuardFamily& family_in,
-              int num_threads)
+  LadderState(const Hypergraph& h_in, const GuardFamily& family_in)
       : h(&h_in),
         flat(&h_in.Flat()),
         family(&family_in),
-        // One interner shard when sequential: shard setup is per-search
-        // overhead, and without workers there is no contention to spread.
-        interner(num_threads > 1 ? 16 : 1),
         index(std::make_unique<CoverIndex>(h_in, family_in)) {}
 
   const Hypergraph* h;
@@ -94,7 +90,7 @@ struct LadderState {
   const GuardFamily* family;
   SetInterner interner;
   std::unique_ptr<CoverIndex> index;  // rebuilt on Rebind
-  StripedMap<StateKey, StateValue, StateKeyHash> positive;
+  PositiveMemo positive;
   int max_k = 0;  // largest k decided so far; enforces nondecreasing rungs
   // Per-exact-k negative stores; empty (and unused) until PersistNegatives.
   bool persist_negatives = false;
@@ -106,37 +102,11 @@ struct LadderState {
 namespace {
 
 using internal::LadderState;
+using internal::NegativeMemo;
 using internal::NegativeStore;
+using internal::PositiveMemo;
 using internal::StateKey;
-using internal::StateKeyHash;
 using internal::StateValue;
-
-// Cancellation scope for speculative branches: OR-forks fire their token when
-// a sibling guard choice wins, AND-forks when a sibling component fails.
-// Tokens chain to the enclosing scope, so one walk covers every ancestor
-// fork. Memoizing a *false* result is forbidden while any ancestor token is
-// set (the failure may stem from truncation, not from the search space);
-// *true* results are always complete witnesses and always memoizable.
-struct CancelToken {
-  explicit CancelToken(const CancelToken* parent = nullptr) : parent(parent) {}
-
-  bool Cancelled() const {
-    for (const CancelToken* t = this; t != nullptr; t = t->parent) {
-      if (t->flag.load(std::memory_order_relaxed)) return true;
-    }
-    return false;
-  }
-  void Fire() { flag.store(true, std::memory_order_relaxed); }
-
-  std::atomic<bool> flag{false};
-  const CancelToken* parent;
-};
-
-// Forks only spawn pool tasks this many fork-levels deep; below the ceiling
-// each branch runs sequentially inside its task. Branching factors are the
-// guard-candidate counts, so this exposes ample parallelism while bounding
-// task counts and the help-while-waiting stack.
-constexpr int kMaxForkDepth = 6;
 
 struct Decider {
   const Hypergraph* h;
@@ -144,11 +114,9 @@ struct Decider {
   const GuardFamily* family;
   const CoverIndex* index;
   int k;
-  KDeciderOptions options;
-  ThreadPool* pool = nullptr;   // null => deterministic sequential engine
   ghd::Budget* budget = nullptr;  // shared governor, never null once running
 
-  std::atomic<long> states{0};
+  long states = 0;
   // The interner owns every component/connector/separator set of the search;
   // both memos and the negative-separator cache key by its ids. Interner and
   // positive memo live in the LadderState (per-call or shared across a
@@ -158,29 +126,23 @@ struct Decider {
   // k+1; a context with PersistNegatives armed points them at the
   // LadderState's store for this exact k instead.
   SetInterner* interner = nullptr;
-  StripedMap<StateKey, StateValue, StateKeyHash>* pos_memo = nullptr;
-  StripedMap<StateKey, char, StateKeyHash>* neg_memo = nullptr;
+  PositiveMemo* pos_memo = nullptr;
+  NegativeMemo* neg_memo = nullptr;
   NegSeparatorCache* neg_cache = nullptr;
 
   bool Tick() {
-    const long n = states.fetch_add(1, std::memory_order_relaxed) + 1;
+    ++states;
     GHD_COUNT(kDeciderStates);
     // Occupancy publishes for the live board, amortized to every 1024th
-    // state: Size() sweeps the striped shards, too heavy for every tick, and
-    // GHD_BOARD_LAZY skips the sweep entirely while no board is armed.
-    if ((n & 1023) == 0) {
-      GHD_BOARD_LAZY(kMemoStates, pos_memo->Size() + neg_memo->Size());
+    // state; GHD_BOARD_LAZY skips them entirely while no board is armed.
+    if ((states & 1023) == 0) {
+      GHD_BOARD_LAZY(kMemoStates, pos_memo->size() + neg_memo->size());
       GHD_BOARD_LAZY(kInternerSets, interner->Size());
     }
     return budget->Tick();
   }
 
   bool OutOfBudget() const { return budget->Stopped(); }
-
-  bool ShouldFork(int depth, size_t branches) const {
-    return pool != nullptr && pool->parallel() && depth < kMaxForkDepth &&
-           branches >= 2;
-  }
 
   // Interns `s`, charging the canonical copy against the memory budget on
   // first sight.
@@ -210,16 +172,15 @@ struct Decider {
   }
 
   // Evaluates one complete guard choice; fills `value` and returns true on
-  // success. Child components are decided in parallel under the fork ceiling
-  // (AND-parallel: the first failing sibling cancels the rest). Failed
-  // (component, chi) pairs land in the negative-separator cache — distinct
-  // guard subsets unioning to the same chi then fail without re-splitting —
-  // but only when the failure is proven (truncated failures are never
-  // cached, the same soundness rule the memo follows).
+  // success. Child components are decided in order, stopping at the first
+  // failure. Failed (component, chi) pairs land in the negative-separator
+  // cache — distinct guard subsets unioning to the same chi then fail without
+  // re-splitting — but only when the failure is proven (truncated failures
+  // are never cached, the same soundness rule the memo follows).
   bool TryLambda(const StateKey& key, const VertexSet& comp,
                  const VertexSet& conn, const VertexSet& v_comp,
-                 const std::vector<int>& lambda, const CancelToken* cancel,
-                 int depth, StateValue* value) {
+                 const std::vector<int>& lambda, int depth,
+                 StateValue* value) {
     GHD_COUNT(kDeciderLambdaTried);
     VertexSet chi(h->num_vertices());
     for (int g : lambda) chi |= family->guards[g];
@@ -262,45 +223,15 @@ struct Decider {
       child_conn &= chi;
       children.push_back(MakeKey(part, child_conn));
     }
-    bool children_ok = true;
-    if (ShouldFork(depth, children.size())) {
-      CancelToken sibling_failed(cancel);
-      std::atomic<bool> all_ok{true};
-      TaskGroup group(pool);
-      // Reverse submission, as in EnumerateLambdaParallel: LIFO own-pop
-      // makes the helping waiter take the children in order.
-      for (size_t c = children.size(); c-- > 0;) {
-        const StateKey child = children[c];
-        GHD_COUNT(kDeciderAndForks);
-        group.Run([this, child, &sibling_failed, &all_ok, depth] {
-          if (sibling_failed.Cancelled() || OutOfBudget()) {
-            all_ok.store(false, std::memory_order_relaxed);
-            return;
-          }
-          if (!Decide(child, &sibling_failed, depth + 1)) {
-            all_ok.store(false, std::memory_order_relaxed);
-            GHD_COUNT(kDeciderCancels);
-            sibling_failed.Fire();
-          }
-        });
+    for (const StateKey& child : children) {
+      if (!Decide(child, depth + 1)) {
+        // A child refutation is a proven failure of (comp, chi) only when no
+        // truncation is in flight; otherwise the child may merely have been
+        // cut short.
+        if (!OutOfBudget()) fail_proven();
+        return false;
       }
-      group.Wait();
-      children_ok = all_ok.load(std::memory_order_relaxed);
-    } else {
-      for (const StateKey& child : children) {
-        if (!Decide(child, cancel, depth)) {
-          children_ok = false;
-          break;
-        }
-        if (OutOfBudget()) return false;
-      }
-    }
-    if (!children_ok) {
-      // A child refutation is a proven failure of (comp, chi) only when no
-      // truncation is in flight; otherwise the child may merely have been
-      // cut short.
-      if (!OutOfBudget() && !cancel->Cancelled()) fail_proven();
-      return false;
+      if (OutOfBudget()) return false;
     }
     value->chi = std::move(chi);
     value->lambda = lambda;
@@ -319,9 +250,7 @@ struct Decider {
                        const std::vector<int>& candidates,
                        const BitMatrix& suffix_cover, size_t from,
                        std::vector<int>* lambda, const VertexSet& conn_left,
-                       const CancelToken* cancel, int depth,
-                       StateValue* value) {
-    if (cancel->Cancelled()) return false;
+                       int depth, StateValue* value) {
     if (!kernels::IsSubset(conn_left.word_data(),
                            suffix_cover.row(static_cast<int>(from)),
                            conn_left.word_count())) {
@@ -329,7 +258,7 @@ struct Decider {
     }
     if (!Tick()) return false;  // Bound the subset enumeration itself.
     if (!lambda->empty() && conn_left.Empty()) {
-      if (TryLambda(key, comp, conn, v_comp, *lambda, cancel, depth, value)) {
+      if (TryLambda(key, comp, conn, v_comp, *lambda, depth, value)) {
         return true;
       }
       if (OutOfBudget()) return false;
@@ -341,89 +270,30 @@ struct Decider {
       VertexSet next_conn = conn_left;
       next_conn -= family->guards[g];
       if (EnumerateLambda(key, comp, conn, v_comp, candidates, suffix_cover,
-                          i + 1, lambda, next_conn, cancel, depth, value)) {
+                          i + 1, lambda, next_conn, depth, value)) {
         return true;
       }
       lambda->pop_back();
-      if (OutOfBudget() || cancel->Cancelled()) return false;
+      if (OutOfBudget()) return false;
     }
     return false;
   }
 
-  // OR-parallel guard branching: the subset enumeration tree is partitioned
-  // by the first chosen guard. The heuristically-first partition runs inline
-  // on the calling thread — when it succeeds (the common case) nothing is
-  // speculated and the state count matches the sequential search. Only on
-  // its failure do the remaining partitions fork, racing to the first
-  // complete success, which cancels the losing siblings.
-  bool EnumerateLambdaParallel(const StateKey& key, const VertexSet& comp,
-                               const VertexSet& conn, const VertexSet& v_comp,
-                               const std::vector<int>& candidates,
-                               const BitMatrix& suffix_cover,
-                               const CancelToken* cancel, int depth,
-                               StateValue* out) {
-    if (!Tick()) return false;  // The enumeration root, as in sequential.
-    auto try_partition = [this, &key, &comp, &conn, &v_comp, &candidates,
-                          &suffix_cover, depth](size_t i,
-                                                const CancelToken* token,
-                                                StateValue* value) {
-      const int g = candidates[i];
-      std::vector<int> lambda(1, g);
-      VertexSet conn_left = conn;
-      conn_left -= family->guards[g];
-      return EnumerateLambda(key, comp, conn, v_comp, candidates, suffix_cover,
-                             i + 1, &lambda, conn_left, token, depth + 1,
-                             value);
-    };
-    if (try_partition(0, cancel, out)) return true;
-    if (candidates.size() <= 1 || OutOfBudget() || cancel->Cancelled()) {
-      return false;
-    }
-    CancelToken winner_found(cancel);
-    std::mutex mu;
-    bool found = false;
-    StateValue win;
-    TaskGroup group(pool);
-    // Reverse submission: the own-queue pop is LIFO, so the helping waiter
-    // explores the partitions in heuristic order while steals take the tail.
-    for (size_t i = candidates.size(); i-- > 1;) {
-      GHD_COUNT(kDeciderOrForks);
-      group.Run([this, &try_partition, &winner_found, &mu, &found, &win, i] {
-        if (winner_found.Cancelled() || OutOfBudget()) return;
-        StateValue value;
-        if (try_partition(i, &winner_found, &value)) {
-          std::lock_guard<std::mutex> lock(mu);
-          if (!found) {
-            found = true;
-            win = std::move(value);
-          }
-          GHD_COUNT(kDeciderCancels);
-          winner_found.Fire();
-        }
-      });
-    }
-    group.Wait();
-    if (!found) return false;
-    *out = std::move(win);
-    return true;
-  }
-
-  bool Decide(const StateKey& key, const CancelToken* cancel, int depth) {
+  bool Decide(const StateKey& key, int depth) {
     // Positive memo first: a decomposable state stays decomposable at any
     // larger width, so a hit is valid whether the entry came from this call
     // or from an earlier rung of a shared k-ladder. Negative entries come
     // from this call or (persistent-negatives mode) an earlier call at the
     // *same* k, so a hit there is a width-k refutation by construction.
-    if (pos_memo->Find(key) != nullptr) {
+    if (pos_memo->count(key) != 0) {
       GHD_COUNT(kDeciderMemoHits);
       return true;
     }
-    if (neg_memo->Find(key) != nullptr) {
+    if (neg_memo->count(key) != 0) {
       GHD_COUNT(kDeciderMemoHits);
       return false;
     }
     GHD_COUNT(kDeciderMemoMisses);
-    if (cancel->Cancelled()) return false;
     if (!Tick()) return false;
     GHD_BOARD_SET(kFrontierDepth, depth);
 
@@ -450,29 +320,22 @@ struct Decider {
                       guard_bits.logical_words());
     }
     StateValue value;
-    bool ok;
-    if (ShouldFork(depth, candidates.size())) {
-      ok = EnumerateLambdaParallel(key, comp, conn, v_comp, candidates,
-                                   suffix_cover, cancel, depth, &value);
-    } else {
-      std::vector<int> lambda;
-      ok = EnumerateLambda(key, comp, conn, v_comp, candidates, suffix_cover,
-                           0, &lambda, conn, cancel, depth, &value);
-    }
-    if (ok) {
-      // Successes are complete witnesses regardless of cancellation or
-      // budget state: memoize unconditionally, so every true child a parent
-      // references is resident for reconstruction.
+    std::vector<int> lambda;
+    if (EnumerateLambda(key, comp, conn, v_comp, candidates, suffix_cover, 0,
+                        &lambda, conn, depth, &value)) {
+      // Successes are complete witnesses regardless of budget state:
+      // memoize unconditionally, so every true child a parent references is
+      // resident for reconstruction.
       MemoizeTrue(key, std::move(value));
       return true;
     }
-    // A false under cancellation or exhausted budget may be a truncated
-    // search, not a refutation: never cache it. This is the library-wide
+    // A false under an exhausted budget may be a truncated search, not a
+    // refutation: never cache it. This is the library-wide
     // cache rule (see util/resource_governor.h): a truncated run must never
     // poison a memo entry with an unproven refutation. The truncation test
     // runs exactly once so that the discard decision and the soundness
     // accounting in MemoizeFalse see the same answer.
-    const bool truncated = OutOfBudget() || cancel->Cancelled();
+    const bool truncated = OutOfBudget();
     if (truncated) {
       GHD_COUNT(kDeciderUnprovenFalse);
       return false;
@@ -492,7 +355,7 @@ struct Decider {
                          value.lambda.size() * sizeof(int) +
                          value.children.size() * sizeof(StateKey);
     budget->Charge(bytes);
-    pos_memo->Insert(key, std::move(value));
+    pos_memo->emplace(key, std::move(value));
   }
 
   // Records a proven width-k refutation in the (per-call or per-exact-k
@@ -508,7 +371,7 @@ struct Decider {
     }
     GHD_COUNT(kDeciderMemoInserts);
     budget->Charge(sizeof(StateKey) + 1);
-    neg_memo->Insert(key, 1);
+    neg_memo->insert(key);
   }
 
   static size_t ApproxBytes(const VertexSet& s) {
@@ -519,8 +382,9 @@ struct Decider {
   // index of the subtree root in `out`.
   int Reconstruct(const StateKey& key,
                   GeneralizedHypertreeDecomposition* out) {
-    const StateValue* value = pos_memo->Find(key);
-    GHD_CHECK(value != nullptr);
+    const auto it = pos_memo->find(key);
+    GHD_CHECK(it != pos_memo->end());
+    const StateValue* value = &it->second;
     const int node = out->num_nodes();
     out->bags.push_back(value->chi);
     std::vector<int> edge_ids;
@@ -551,9 +415,8 @@ GuardFamily OriginalEdgesFamily(const Hypergraph& h) {
 }
 
 KLadderContext::KLadderContext(const Hypergraph& h, const GuardFamily& family,
-                               int num_threads)
-    : state_(std::make_unique<internal::LadderState>(
-          h, family, ThreadPool::EffectiveThreads(num_threads))) {}
+                               int /*num_threads*/)
+    : state_(std::make_unique<internal::LadderState>(h, family)) {}
 
 KLadderContext::~KLadderContext() = default;
 
@@ -562,14 +425,14 @@ size_t KLadderContext::interned_sets() const {
 }
 
 size_t KLadderContext::positive_states() const {
-  return state_->positive.Size();
+  return state_->positive.size();
 }
 
 int KLadderContext::max_k() const { return state_->max_k; }
 
 size_t KLadderContext::negative_states() const {
   size_t total = 0;
-  for (const auto& [k, store] : state_->negatives) total += store->memo.Size();
+  for (const auto& [k, store] : state_->negatives) total += store->memo.size();
   return total;
 }
 
@@ -630,12 +493,12 @@ RebindStats KLadderContext::Rebind(const Hypergraph& new_h,
   // families). A retained entry's guards are never removed edges: a guard
   // intersects the component's vertices, and a removed edge's vertices are
   // all dirty, which would have dirtied the component.
-  StripedMap<StateKey, StateValue, StateKeyHash> fresh_pos;
-  s->positive.ForEach([&](const StateKey& key, const StateValue& value) {
+  PositiveMemo fresh_pos;
+  for (const auto& [key, value] : s->positive) {
     const uint32_t comp = remap_comp(key.comp_id);
     if (comp == kDirty) {
       ++stats.pos_dropped;
-      return;
+      continue;
     }
     StateValue moved;
     moved.chi = value.chi;
@@ -662,11 +525,11 @@ RebindStats KLadderContext::Rebind(const Hypergraph& new_h,
     }
     if (!ok) {
       ++stats.pos_dropped;
-      return;
+      continue;
     }
-    fresh_pos.Insert(StateKey{comp, key.conn_id}, std::move(moved));
+    fresh_pos.emplace(StateKey{comp, key.conn_id}, std::move(moved));
     ++stats.pos_retained;
-  });
+  }
   s->positive = std::move(fresh_pos);
 
   // Negative sweep, per exact-k store: same retention test. A retained
@@ -676,15 +539,15 @@ RebindStats KLadderContext::Rebind(const Hypergraph& new_h,
   // component's vertices.
   for (auto& [k, store] : s->negatives) {
     auto fresh = std::make_unique<NegativeStore>();
-    store->memo.ForEach([&](const StateKey& key, const char&) {
+    for (const StateKey& key : store->memo) {
       const uint32_t comp = remap_comp(key.comp_id);
       if (comp == kDirty) {
         ++stats.neg_dropped;
-        return;
+        continue;
       }
-      fresh->memo.Insert(StateKey{comp, key.conn_id}, 1);
+      fresh->memo.insert(StateKey{comp, key.conn_id});
       ++stats.neg_retained;
-    });
+    }
     store->cache.ForEachKey([&](uint64_t packed) {
       uint32_t comp_id = 0, chi_id = 0;
       NegSeparatorCache::Unpack(packed, &comp_id, &chi_id);
@@ -727,10 +590,6 @@ KDeciderResult DecideWidthK(const Hypergraph& h, const GuardFamily& family,
     return result;
   }
 
-  const int threads = ThreadPool::EffectiveThreads(options.num_threads);
-  std::unique_ptr<ThreadPool> pool;
-  if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
-
   // Private budget from the legacy state_budget knob unless the caller
   // shares a governor.
   Budget local_budget;
@@ -754,7 +613,7 @@ KDeciderResult DecideWidthK(const Hypergraph& h, const GuardFamily& family,
     GHD_CHECK(k >= state->max_k);
     state->max_k = k;
   } else {
-    local_state = std::make_unique<LadderState>(h, family, threads);
+    local_state = std::make_unique<LadderState>(h, family);
     state = local_state.get();
   }
 
@@ -766,15 +625,13 @@ KDeciderResult DecideWidthK(const Hypergraph& h, const GuardFamily& family,
   decider.interner = &state->interner;
   decider.pos_memo = &state->positive;
   decider.k = k;
-  decider.options = options;
-  decider.pool = pool.get();
   decider.budget = budget;
 
   // Negative state: per-call scratch by default (a refutation at width k
   // says nothing at width k+1, and the next call usually has a different k).
   // A ladder with persistent negatives armed shares the store for exactly
   // this k across calls — the incremental solver's repeated same-k asks.
-  StripedMap<StateKey, char, StateKeyHash> local_neg;
+  NegativeMemo local_neg;
   NegSeparatorCache local_sep;
   decider.neg_memo = &local_neg;
   decider.neg_cache = &local_sep;
@@ -792,7 +649,6 @@ KDeciderResult DecideWidthK(const Hypergraph& h, const GuardFamily& family,
   GHD_GAUGE_MAX(kMaxGuardFamily, family.size());
   GHD_BOARD_SET(kWidthK, k);
   GHD_BOARD_SET(kGuardFamily, family.size());
-  CancelToken root_scope;  // never fires: the root search runs to completion
   std::vector<StateKey> root_keys;
   bool all_ok = true;
   for (VertexSet& comp : roots) {
@@ -800,13 +656,13 @@ KDeciderResult DecideWidthK(const Hypergraph& h, const GuardFamily& family,
     GHD_SPAN_VAR(span, "decider", "decide-component");
     span.SetArg("k", k);
     span.SetArg("edges", comp.Count());
-    if (!decider.Decide(key, &root_scope, 0)) {
+    if (!decider.Decide(key, 0)) {
       all_ok = false;
       break;
     }
     root_keys.push_back(key);
   }
-  result.states_visited = decider.states.load(std::memory_order_relaxed);
+  result.states_visited = decider.states;
   result.outcome = budget->MakeOutcome();
   result.outcome.ticks = result.states_visited;
   // A complete positive witness stands even when the budget fired during the

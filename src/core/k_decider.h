@@ -48,7 +48,7 @@ struct GuardFamily {
 /// The trivial family: the hyperedges of h themselves.
 GuardFamily OriginalEdgesFamily(const Hypergraph& h);
 
-/// Budget and parallelism knobs for the decider.
+/// Budget knobs for the decider.
 struct KDeciderOptions {
   /// Limit on visited (component, connector) states plus λ evaluations;
   /// <= 0 means unlimited. Ignored when `budget` is set — the shared
@@ -57,10 +57,8 @@ struct KDeciderOptions {
   /// Shared resource governor (deadline, ticks, memory, cancellation). When
   /// null the decider runs under a private budget built from `state_budget`.
   Budget* budget = nullptr;
-  /// Executors for the search: 1 (default) runs the deterministic sequential
-  /// engine, n > 1 runs the work-stealing parallel engine on n threads,
-  /// <= 0 uses every hardware thread. The decision (exists / width) is the
-  /// same at every thread count; the witness tree may differ.
+  /// Ignored (the decider is sequential); removed together with the
+  /// repository benchmark's `num_threads = 1` assignments.
   int num_threads = 1;
 };
 
@@ -120,7 +118,8 @@ struct RebindStats {
 class KLadderContext {
  public:
   /// Builds the interner and cover index for (h, family); both must outlive
-  /// the context. `num_threads` sizes the interner's shard count.
+  /// the context. `num_threads` is ignored; it goes together with the
+  /// repository benchmark's three-argument calls.
   KLadderContext(const Hypergraph& h, const GuardFamily& family,
                  int num_threads = 1);
   ~KLadderContext();

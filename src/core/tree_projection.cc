@@ -22,7 +22,7 @@ Result<Hypergraph> KFoldUnionHypergraph(const Hypergraph& h, int k,
   // map keyed on interned ids keeps the minimum such index per reached set
   // (re-enqueueing on a strictly smaller arrival), which makes the sorted
   // prefix path of every union of <= k edges reachable.
-  SetInterner interner(1);
+  SetInterner interner;
   struct Entry {
     uint32_t id;
     int from;

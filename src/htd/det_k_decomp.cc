@@ -28,7 +28,7 @@ HypertreeWidthResult HypertreeWidth(const Hypergraph& h, int max_k,
   // cover index, and the monotone positive memo across every rung, so states
   // proven decomposable at width k are free at k+1.
   const GuardFamily family = OriginalEdgesFamily(h);
-  KLadderContext ladder(h, family, options.num_threads);
+  KLadderContext ladder(h, family);
   for (int k = start; k <= max_k; ++k) {
     GHD_COUNT(kDetKIterations);
     GHD_SPAN_VAR(span, "htd", "det-k-decomp");

@@ -15,7 +15,6 @@ const char* const kCounterNames[kNumCounters] = {
     "bnb_prune_lower_bound",
     "bnb_prune_incumbent",
     "bnb_solutions",
-    "bnb_root_forks",
     "tw_nodes",
     "tw_reductions",
     "decider_states",
@@ -24,9 +23,6 @@ const char* const kCounterNames[kNumCounters] = {
     "decider_memo_inserts",
     "decider_memo_poisoned",
     "decider_lambda_tried",
-    "decider_or_forks",
-    "decider_and_forks",
-    "decider_cancels",
     "decider_unproven_false",
     "detk_iterations",
     "cover_cache_hits",
@@ -40,9 +36,6 @@ const char* const kCounterNames[kNumCounters] = {
     "csp_joins",
     "governor_ticks",
     "governor_stops",
-    "pool_submits",
-    "pool_local_pops",
-    "pool_steals",
     "ladder_rungs",
     "ladder_improvements",
     "bitset_inline_sets",
@@ -79,7 +72,6 @@ const char* const kGaugeNames[kNumGauges] = {
     "peak_bytes_charged",
     "max_relation_size",
     "max_guard_family",
-    "pool_queue_depth",
     "cache_bytes",
 };
 

@@ -100,9 +100,9 @@ void Heartbeat::EmitLocked(bool final_line) {
       BoardSlot::kBestLb,       BoardSlot::kBestUb,
       BoardSlot::kWidthK,       BoardSlot::kFrontierDepth,
       BoardSlot::kMemoStates,   BoardSlot::kInternerSets,
-      BoardSlot::kGuardFamily,  BoardSlot::kDpLayer,
-      BoardSlot::kCacheHits,    BoardSlot::kCacheMisses,
-      BoardSlot::kIncrVersion,  BoardSlot::kIncrRetained,
+      BoardSlot::kGuardFamily,  BoardSlot::kCacheHits,
+      BoardSlot::kCacheMisses,  BoardSlot::kIncrVersion,
+      BoardSlot::kIncrRetained,
   };
   for (BoardSlot slot : kNumericSlots) {
     line += ",\"";

@@ -12,7 +12,6 @@ const char* const kSlotNames[kNumBoardSlots] = {
     "memo_states",
     "interner_sets",
     "guard_family",
-    "dp_layer",
     "cache_hits",
     "cache_misses",
     "incr_version",

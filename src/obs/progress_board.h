@@ -32,7 +32,6 @@ enum class BoardSlot : int {
   kMemoStates,      // decider memo occupancy (positive + negative entries)
   kInternerSets,    // canonical sets interned so far
   kGuardFamily,     // guard family size (grows during closure generation)
-  kDpLayer,         // subset-DP popcount layer being solved
   kCacheHits,       // decomposition-cache lookups served from memory
   kCacheMisses,     // decomposition-cache lookups that fell through to solves
   kIncrVersion,     // incremental solver: hypergraph version (deltas applied)

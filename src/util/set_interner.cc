@@ -1,67 +1,37 @@
 #include "util/set_interner.h"
 
+#include <limits>
+
 #include "obs/obs.h"
 #include "util/check.h"
 
 namespace ghd {
 
-SetInterner::SetInterner(int shards) {
-  int n = 1;
-  shard_bits_ = 0;
-  while (n < shards && n < 256) {
-    n <<= 1;
-    ++shard_bits_;
-  }
-  shard_mask_ = static_cast<uint32_t>(n - 1);
-  shards_.reserve(n);
-  for (int i = 0; i < n; ++i) shards_.push_back(std::make_unique<Shard>());
-}
-
 uint32_t SetInterner::Intern(const VertexSet& s, bool* inserted) {
-  const uint64_t h = s.Hash();
-  Shard& shard = *shards_[h & shard_mask_];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto [it, is_new] = shard.ids.try_emplace(s, 0);
+  auto [it, is_new] = ids_.try_emplace(s, 0);
   if (!is_new) {
     GHD_COUNT(kInternerHits);
     if (inserted != nullptr) *inserted = false;
-    return (it->second << shard_bits_) | static_cast<uint32_t>(h & shard_mask_);
+    return it->second;
   }
   GHD_COUNT(kInternerMisses);
   GHD_HISTO(kInternedSetWords, (s.universe_size() + 63) / 64);
-  const uint32_t local = static_cast<uint32_t>(shard.by_index.size());
-  GHD_CHECK(static_cast<uint64_t>(local) < (uint64_t{1} << (32 - shard_bits_)));
-  it->second = local;
-  shard.by_index.emplace_back(&it->first, h);
+  GHD_CHECK(by_index_.size() < std::numeric_limits<uint32_t>::max());
+  const uint32_t id = static_cast<uint32_t>(by_index_.size());
+  it->second = id;
+  by_index_.emplace_back(&it->first, s.Hash());
   if (inserted != nullptr) *inserted = true;
-  return (local << shard_bits_) | static_cast<uint32_t>(h & shard_mask_);
+  return id;
 }
 
 const VertexSet& SetInterner::Resolve(uint32_t id) const {
-  const Shard& shard = *shards_[id & shard_mask_];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  const uint32_t local = id >> shard_bits_;
-  GHD_DCHECK(local < shard.by_index.size());
-  // Safe to hand out past the unlock: the pointee is an unordered_map key,
-  // node-stable and immutable once inserted.
-  return *shard.by_index[local].first;
+  GHD_DCHECK(id < by_index_.size());
+  return *by_index_[id].first;
 }
 
 uint64_t SetInterner::HashOf(uint32_t id) const {
-  const Shard& shard = *shards_[id & shard_mask_];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  const uint32_t local = id >> shard_bits_;
-  GHD_DCHECK(local < shard.by_index.size());
-  return shard.by_index[local].second;
-}
-
-size_t SetInterner::Size() const {
-  size_t total = 0;
-  for (const auto& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard->mu);
-    total += shard->by_index.size();
-  }
-  return total;
+  GHD_DCHECK(id < by_index_.size());
+  return by_index_[id].second;
 }
 
 }  // namespace ghd

@@ -9,11 +9,11 @@
 // VertexSet (util/bitset.h): the interner computes each canonical set's hash
 // exactly once, on first insertion, and serves it from HashOf() thereafter.
 //
-// Concurrency: the table is sharded by set hash, each shard behind its own
-// mutex, so the parallel decider's workers intern mostly without contention.
-// Ids are stable and never recycled; Resolve() returns a reference to the
-// canonical copy that stays valid for the interner's lifetime (storage is
-// node-stable, nothing is ever erased).
+// Ids are dense (issued 0, 1, 2, ... in first-sight order), stable and never
+// recycled; Resolve() returns a reference to the canonical copy that stays
+// valid for the interner's lifetime (storage is node-stable, nothing is ever
+// erased). The table is unlocked: an interner belongs to one search, and
+// every search runs on one thread.
 //
 // Lifetime invariant: an interned id is a borrowed name, meaningful only
 // while the interner that issued it is alive. Memo tables keyed by ids must
@@ -23,8 +23,6 @@
 #define GHD_UTIL_SET_INTERNER_H_
 
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -35,10 +33,7 @@ namespace ghd {
 
 class SetInterner {
  public:
-  /// `shards` is rounded up to a power of two (capped at 256). The default
-  /// keeps contention negligible for any plausible worker count while the id
-  /// space still allows ~2^27 sets per shard.
-  explicit SetInterner(int shards = 16);
+  SetInterner() = default;
 
   SetInterner(const SetInterner&) = delete;
   SetInterner& operator=(const SetInterner&) = delete;
@@ -56,24 +51,16 @@ class SetInterner {
   /// The canonical set's hash, computed once at interning time.
   uint64_t HashOf(uint32_t id) const;
 
-  /// Total interned sets (takes every shard lock; for stats/tests).
-  size_t Size() const;
+  /// Total interned sets.
+  size_t Size() const { return by_index_.size(); }
 
  private:
-  struct Shard {
-    mutable std::mutex mu;
-    // The map nodes ARE the canonical storage (node-based, stable, never
-    // erased); by_index maps local id -> (canonical set, its hash) for
-    // Resolve/HashOf. Construction allocates nothing; each new set costs
-    // exactly one map node.
-    std::unordered_map<VertexSet, uint32_t, VertexSetHash> ids;
-    std::vector<std::pair<const VertexSet*, uint64_t>> by_index;
-  };
-
-  // Id layout: local index << shard_bits | shard.
-  std::vector<std::unique_ptr<Shard>> shards_;
-  int shard_bits_;
-  uint32_t shard_mask_;
+  // The map nodes ARE the canonical storage (node-based, stable, never
+  // erased); by_index_ maps id -> (canonical set, its hash) for
+  // Resolve/HashOf. Construction allocates nothing; each new set costs
+  // exactly one map node.
+  std::unordered_map<VertexSet, uint32_t, VertexSetHash> ids_;
+  std::vector<std::pair<const VertexSet*, uint64_t>> by_index_;
 };
 
 }  // namespace ghd

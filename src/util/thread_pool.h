@@ -1,139 +1,28 @@
-// Shared-memory parallel search substrate: a work-stealing task pool with a
-// fork-join API. All parallel solvers in this library (the width-k decider,
-// the exact GHW branch and bound, the subset DP, the bench fan-out) run on
-// this pool.
+// Fan-out across independent instances: the only place this library runs
+// work on more than one thread. Every search engine is sequential; the batch
+// commands (`ghd_cli decide-many` / `anytime-many`) and the bench suite's
+// fan-out hand each instance to one call of `fn` below.
 //
-// Model:
-//  * `ThreadPool(n)` owns n-1 worker threads; the caller thread is the n-th
-//    executor (it helps run tasks while waiting on a `TaskGroup`).
-//  * Each worker keeps its own deque; it pops from the back (LIFO, cache
-//    locality for nested forks) and steals from the front of other deques
-//    (FIFO, coarse-grained oldest work first).
-//  * `TaskGroup` is the fork-join primitive: `Run` forks a task, `Wait`
-//    blocks until every task of the group finished, executing queued tasks
-//    while it waits, and rethrows the first exception any task raised.
-//  * Single-thread fallback: with `num_threads <= 1` (or a null pool) `Run`
-//    executes inline, immediately and in submission order — a deterministic
-//    sequential run with zero synchronization, used as the baseline in
-//    speedup measurements and by default everywhere (options default to 1).
+// What the workers share is limited to state built for concurrent use: the
+// DecompCache (sharded, locked), the Budget governor (atomics), and the obs
+// counters (thread-local shards folded on thread exit).
 #ifndef GHD_UTIL_THREAD_POOL_H_
 #define GHD_UTIL_THREAD_POOL_H_
 
-#include <atomic>
-#include <condition_variable>
-#include <deque>
-#include <exception>
 #include <functional>
-#include <memory>
-#include <mutex>
-#include <thread>
-#include <vector>
 
 namespace ghd {
 
-class ThreadPool {
- public:
-  /// Pool with `num_threads` total executors (the constructing thread counts
-  /// as one, so `num_threads - 1` workers are spawned). Values <= 1 create a
-  /// pool with no workers: everything runs inline on the caller.
-  explicit ThreadPool(int num_threads);
-  ~ThreadPool();
+/// Resolves a requested thread count: <= 0 means all hardware threads.
+int EffectiveThreads(int requested);
 
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  /// Total executors (workers + caller).
-  int num_threads() const { return static_cast<int>(workers_.size()) + 1; }
-
-  /// True when the pool has worker threads (i.e. forking can overlap work).
-  bool parallel() const { return !workers_.empty(); }
-
-  /// Resolves a requested thread count: <= 0 means "all hardware threads".
-  static int EffectiveThreads(int requested);
-
- private:
-  friend class TaskGroup;
-
-  struct Queue {
-    std::mutex mu;
-    std::deque<std::function<void()>> tasks;
-  };
-
-  /// Enqueues a task. Called by TaskGroup::Run.
-  void Submit(std::function<void()> fn);
-
-  /// Runs one queued task if any is available; used by workers and by
-  /// waiters helping out. Returns false when every deque was empty.
-  bool RunOneTask();
-
-  void WorkerLoop(int index);
-
-  /// Pops from the back of the calling worker's own deque, or steals from
-  /// the front of another; empty function when nothing was found.
-  std::function<void()> NextTask(int self_index);
-
-  std::vector<std::unique_ptr<Queue>> queues_;  // one per worker
-  std::vector<std::thread> workers_;
-  std::mutex idle_mu_;
-  std::condition_variable idle_cv_;
-  std::atomic<int> next_queue_{0};
-  std::atomic<bool> stop_{false};
-  // Submitted-but-not-yet-popped tasks across all deques; feeds the
-  // pool_queue_depth peak gauge (backpressure visibility for the live board).
-  std::atomic<int> queued_{0};
-};
-
-/// Fork-join group of tasks on a pool (or inline when `pool` is null or has
-/// no workers). Not reentrant: one thread forks and the same thread waits.
-class TaskGroup {
- public:
-  explicit TaskGroup(ThreadPool* pool) : pool_(pool) {}
-  ~TaskGroup() { Wait(); }
-
-  TaskGroup(const TaskGroup&) = delete;
-  TaskGroup& operator=(const TaskGroup&) = delete;
-
-  /// Forks `fn`. Inline (immediate, deterministic order) without workers.
-  void Run(std::function<void()> fn);
-
-  /// Blocks until all forked tasks completed, helping to drain the pool's
-  /// queues. Rethrows the first exception thrown by any task of this group.
-  void Wait();
-
- private:
-  void RunAndTrack(std::function<void()>& fn);
-
-  ThreadPool* pool_;
-  std::atomic<int> pending_{0};
-  std::mutex mu_;
-  std::condition_variable done_cv_;
-  std::exception_ptr error_;  // guarded by mu_
-};
-
-/// Chunked parallel loop: calls `fn(i)` for i in [begin, end). Blocks until
-/// every index ran. Sequential (in order) when `pool` has no workers.
-template <typename Fn>
-void ParallelFor(ThreadPool* pool, int begin, int end, Fn fn, int grain = 1) {
-  if (end <= begin) return;
-  if (pool == nullptr || !pool->parallel()) {
-    for (int i = begin; i < end; ++i) fn(i);
-    return;
-  }
-  if (grain < 1) grain = 1;
-  const int count = end - begin;
-  // ~4 chunks per executor balances stealing against per-task overhead.
-  const int target_chunks = 4 * pool->num_threads();
-  int chunk = (count + target_chunks - 1) / target_chunks;
-  if (chunk < grain) chunk = grain;
-  TaskGroup group(pool);
-  for (int lo = begin; lo < end; lo += chunk) {
-    const int hi = lo + chunk < end ? lo + chunk : end;
-    group.Run([fn, lo, hi] {
-      for (int i = lo; i < hi; ++i) fn(i);
-    });
-  }
-  group.Wait();
-}
+/// Calls `fn(i)` once for every i in [0, n). `EffectiveThreads(threads)`
+/// executors (the caller plus fresh std::threads, never more than n) take
+/// indices from a shared atomic counter; with one executor the loop runs
+/// inline on the caller, in index order. Blocks until every index ran.
+/// When `fn` throws, the remaining indices are skipped and the first
+/// exception is rethrown on the caller after all executors joined.
+void ParallelFor(int threads, int n, const std::function<void(int)>& fn);
 
 }  // namespace ghd
 

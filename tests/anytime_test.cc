@@ -6,6 +6,8 @@
 //    never yields an invalid witness, and the certified interval is monotone
 //    in the injection point (more budget can only tighten it);
 //  * truncation can never poison the k-decider's memo into a wrong answer;
+//  * a fault on a governor shared by fan-out workers leaves every in-flight
+//    solve with a validated interval;
 //  * external cancellation (the SIGINT path) stops a running driver.
 #include "core/anytime.h"
 
@@ -19,6 +21,7 @@
 #include "gen/generators.h"
 #include "gtest/gtest.h"
 #include "hypergraph/hg_io.h"
+#include "util/thread_pool.h"
 
 namespace ghd {
 namespace {
@@ -197,25 +200,32 @@ TEST(FaultSweepTest, TruncationNeverPoisonsKDeciderAnswer) {
   }
 }
 
-TEST(FaultSweepTest, ParallelDriverSurvivesMidRunFault) {
-  // num_threads = 2 exercises cancellation landing mid-TaskGroup inside the
-  // parallel engines; the injection index is global, so faults land inside
-  // forked subtasks as well as between rungs.
+// The batch commands run several instances at once under one governor, so a
+// fault (or deadline, or SIGINT) fires in the middle of whichever solves are
+// in flight on the ParallelFor workers. The injection index is global across
+// the workers' ticks.
+constexpr int kFanOutWorkers = 3;
+
+TEST(FaultSweepTest, FanOutAnytimeRunsSurviveSharedMidRunFault) {
   const Hypergraph h = Grid2dHypergraph(3, 3);
   for (long n : {1L, 3L, 10L, 50L, 250L, 1000L}) {
     Budget budget;
     budget.InjectFailureAfter(n);
-    AnytimeOptions options;
-    options.budget = &budget;
-    options.num_threads = 2;
-    AnytimeGhwResult r = AnytimeGhw(h, options);
-    EXPECT_LE(r.lower_bound, 2) << "fault at tick " << n;
-    EXPECT_GE(r.upper_bound, 2) << "fault at tick " << n;
-    EXPECT_TRUE(r.witness.Validate(h).ok()) << "fault at tick " << n;
+    std::vector<AnytimeGhwResult> results(kFanOutWorkers);
+    ParallelFor(kFanOutWorkers, kFanOutWorkers, [&](int w) {
+      AnytimeOptions options;
+      options.budget = &budget;
+      results[w] = AnytimeGhw(h, options);
+    });
+    for (const AnytimeGhwResult& r : results) {
+      EXPECT_LE(r.lower_bound, 2) << "fault at tick " << n;
+      EXPECT_GE(r.upper_bound, 2) << "fault at tick " << n;
+      EXPECT_TRUE(r.witness.Validate(h).ok()) << "fault at tick " << n;
+    }
   }
 }
 
-TEST(FaultSweepTest, ParallelKDeciderSurvivesMidRunFault) {
+TEST(FaultSweepTest, FanOutKDecidersSurviveSharedMidRunFault) {
   const Hypergraph h = Grid2dHypergraph(3, 3);
   const GuardFamily family = OriginalEdgesFamily(h);
   KDeciderResult truth = DecideWidthK(h, family, 3);
@@ -223,12 +233,16 @@ TEST(FaultSweepTest, ParallelKDeciderSurvivesMidRunFault) {
   for (long n : {1L, 5L, 25L, 125L, 625L}) {
     Budget budget;
     budget.InjectFailureAfter(n);
-    KDeciderOptions options;
-    options.budget = &budget;
-    options.num_threads = 2;
-    KDeciderResult r = DecideWidthK(h, family, 3, options);
-    if (r.decided) {
-      EXPECT_EQ(r.exists, truth.exists) << "fault at tick " << n;
+    std::vector<KDeciderResult> results(kFanOutWorkers);
+    ParallelFor(kFanOutWorkers, kFanOutWorkers, [&](int w) {
+      KDeciderOptions options;
+      options.budget = &budget;
+      results[w] = DecideWidthK(h, family, 3, options);
+    });
+    for (const KDeciderResult& r : results) {
+      if (r.decided) {
+        EXPECT_EQ(r.exists, truth.exists) << "fault at tick " << n;
+      }
     }
   }
 }

@@ -18,6 +18,7 @@
 #include "hypergraph/hypergraph_builder.h"
 #include "obs/obs.h"
 #include "util/bitset.h"
+#include "util/thread_pool.h"
 
 namespace ghd {
 namespace {
@@ -92,19 +93,24 @@ TEST(ClosureDifferentialTest, LazyMatchesEagerAcrossWordBoundaries) {
   }
 }
 
-TEST(ClosureDifferentialTest, ParallelGenerationIsDeterministic) {
+TEST(ClosureDifferentialTest, FanOutGenerationIsDeterministic) {
+  // Closures built concurrently on ParallelFor workers (one instance each,
+  // as in the batch commands) share no state: every worker's family matches
+  // the sequential one in content *and order*.
   Hypergraph h = RandomUniformHypergraph(18, 12, 5, 17);
-  SubedgeClosureOptions seq, par;
-  seq.max_union_arity = par.max_union_arity = 3;
-  seq.num_threads = 1;
-  par.num_threads = 4;
-  SubedgeClosureResult a = BipSubedgeClosure(h, seq);
-  SubedgeClosureResult b = BipSubedgeClosure(h, par);
-  ASSERT_TRUE(a.complete());
-  ASSERT_TRUE(b.complete());
-  // Content *and order* identical: the merge is sequential in parent order.
-  EXPECT_EQ(a.family.guards, b.family.guards);
-  EXPECT_EQ(a.family.parent_edge, b.family.parent_edge);
+  SubedgeClosureOptions options;
+  options.max_union_arity = 3;
+  const SubedgeClosureResult reference = BipSubedgeClosure(h, options);
+  ASSERT_TRUE(reference.complete());
+  constexpr int kWorkers = 4;
+  std::vector<SubedgeClosureResult> results(kWorkers);
+  ParallelFor(kWorkers, kWorkers,
+              [&](int w) { results[w] = BipSubedgeClosure(h, options); });
+  for (int w = 0; w < kWorkers; ++w) {
+    ASSERT_TRUE(results[w].complete()) << "worker " << w;
+    EXPECT_EQ(results[w].family.guards, reference.family.guards);
+    EXPECT_EQ(results[w].family.parent_edge, reference.family.parent_edge);
+  }
 }
 
 TEST(ClosurePruningTest, OnlyMaximalAddedGuardsSurvive) {

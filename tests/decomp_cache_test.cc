@@ -1,7 +1,8 @@
 // Decomposition cache: interval merge semantics and cross-propagation, LRU
 // byte-budget eviction, save/load round trips, the cached-solver serving
-// rules (conclusive intervals only, truncation never cached), and a
-// concurrent mixed-reader/writer stress run for the TSan job.
+// rules (conclusive intervals only, truncation never cached, a truncated
+// k-ladder rung never turns into "no"), and concurrent runs for the TSan
+// job: a mixed reader/writer stress run and the batch commands' fan-out.
 #include <cstdio>
 #include <string>
 #include <thread>
@@ -15,6 +16,7 @@
 #include "obs/obs.h"
 #include "util/resource_governor.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace ghd {
 namespace {
@@ -342,6 +344,27 @@ TEST(CachedSolverTest, TruncatedRunsAreNeverCached) {
       << "truncated run must not leave a cache entry";
 }
 
+TEST(CachedSolverTest, TruncatedRungAfterRefutedRungsIsUndecided) {
+  // hw(K8) = 4. Under a per-rung state budget of 200000 the ladder refutes
+  // k = 1 and 2, then truncates at k = 3: the ask is undecided — never "no",
+  // which would claim hw > 4. Only the completed rungs' bound is cached.
+  DecompCache cache;
+  const PreparedInstance p = PrepareInstance(CliqueHypergraph(8));
+  KDeciderOptions options;
+  options.state_budget = 200000;
+  const CachedDecideResult r = CachedDecideHw(p, 4, &cache, options);
+  EXPECT_FALSE(r.decided);
+  EXPECT_FALSE(r.exists);
+  EXPECT_FALSE(r.outcome.complete);
+  CacheEntry entry;
+  ASSERT_TRUE(cache.Lookup(p.key(), &entry));
+  EXPECT_EQ(entry.hw_lb, 3);
+  EXPECT_LT(entry.hw_ub, 0);
+  // The re-ask resumes at the cached floor and truncates the same way.
+  const CachedDecideResult again = CachedDecideHw(p, 4, &cache, options);
+  EXPECT_FALSE(again.decided);
+}
+
 TEST(CachedSolverTest, AnytimeExactIntervalIsCachedAndServed) {
   DecompCache cache;
   const PreparedInstance p = PrepareInstance(CycleHypergraph(7));
@@ -397,7 +420,10 @@ TEST(DecompCacheTest, ConcurrentMixedTraffic) {
 }
 
 TEST(CachedSolverTest, ConcurrentSolversAgree) {
+  // The batch commands' fan-out: decide and anytime asks on ParallelFor
+  // workers, all sharing one cache and one governor.
   DecompCache cache;
+  Budget governor;
   const Hypergraph base = CycleHypergraph(9);
   Rng rng(23);
   std::vector<PreparedInstance> asks;
@@ -410,20 +436,31 @@ TEST(CachedSolverTest, ConcurrentSolversAgree) {
     rng.Shuffle(&eperm);
     asks.push_back(PrepareInstance(RelabeledHypergraph(base, vperm, eperm)));
   }
-  std::vector<std::thread> threads;
-  std::vector<CachedDecideResult> results(asks.size());
-  for (size_t i = 0; i < asks.size(); ++i) {
-    threads.emplace_back([&, i] {
-      results[i] = CachedDecideHw(asks[i], 2, &cache);
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  for (size_t i = 0; i < asks.size(); ++i) {
+  const int n = static_cast<int>(asks.size());
+  std::vector<CachedDecideResult> results(n);
+  std::vector<CachedAnytimeResult> anytime(n);
+  ParallelFor(8, 2 * n, [&](int i) {
+    if (i < n) {
+      KDeciderOptions options;
+      options.budget = &governor;
+      results[i] = CachedDecideHw(asks[i], 2, &cache, options);
+    } else {
+      AnytimeOptions options;
+      options.budget = &governor;
+      anytime[i - n] = CachedAnytimeGhw(asks[i - n], options, &cache);
+    }
+  });
+  for (int i = 0; i < n; ++i) {
     ASSERT_TRUE(results[i].decided) << i;
     EXPECT_TRUE(results[i].exists) << i;
     EXPECT_TRUE(results[i].decomposition.Validate(asks[i].original).ok());
+    ASSERT_TRUE(anytime[i].exact) << i;
+    EXPECT_EQ(anytime[i].lower_bound, 2) << i;  // ghw of a cycle
+    EXPECT_EQ(anytime[i].upper_bound, 2) << i;
+    EXPECT_TRUE(anytime[i].witness.Validate(asks[i].original).ok()) << i;
   }
   EXPECT_EQ(cache.size(), 1u);
+  EXPECT_GT(governor.ticks_used(), 0);
 }
 
 }  // namespace

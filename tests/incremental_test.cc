@@ -2,8 +2,8 @@
 // incremental-vs-scratch equivalence contract (randomized mutation sweeps
 // at the 63/64/65-vertex bitset word boundaries, component splits and
 // merges), delta-scoped retention, the version verdict memo, and the
-// memo-poisoning sentinel under counters. The threaded sweep runs in the
-// TSan CI job.
+// memo-poisoning sentinel under counters. The fan-out sweep (several
+// solvers on ParallelFor workers sharing one cache) runs in the TSan CI job.
 #include <string>
 #include <vector>
 
@@ -14,6 +14,7 @@
 #include "hypergraph/hypergraph.h"
 #include "obs/obs.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace ghd {
 namespace {
@@ -104,10 +105,10 @@ TEST(ApplyEdgeDeltaTest, BatchedRemoveInsertDirtyUnion) {
 // toss in a fresh chord, decide, restore, decide again — comparing the
 // incremental verdict to a from-scratch solve at every step.
 void RandomizedSweep(const Hypergraph& base, int k, uint64_t seed, int rounds,
-                     int num_threads) {
+                     DecompCache* cache = nullptr) {
   Rng rng(seed);
   IncrementalOptions opts;
-  opts.num_threads = num_threads;
+  opts.cache = cache;
   IncrementalSolver solver(base, opts);
   Hypergraph scratch = base;
 
@@ -152,21 +153,21 @@ void RandomizedSweep(const Hypergraph& base, int k, uint64_t seed, int rounds,
 // The bitset word boundary: 63/64/65 vertices exercise the last-word mask,
 // an exactly-full word, and the first two-word universe.
 TEST(IncrementalEquivalenceTest, WordBoundarySweep63) {
-  RandomizedSweep(CycleHypergraph(63), 2, 17, 8, 1);
+  RandomizedSweep(CycleHypergraph(63), 2, 17, 8);
 }
 
 TEST(IncrementalEquivalenceTest, WordBoundarySweep64) {
-  RandomizedSweep(CycleHypergraph(64), 2, 18, 8, 1);
+  RandomizedSweep(CycleHypergraph(64), 2, 18, 8);
 }
 
 TEST(IncrementalEquivalenceTest, WordBoundarySweep65) {
-  RandomizedSweep(CycleHypergraph(65), 2, 19, 8, 1);
+  RandomizedSweep(CycleHypergraph(65), 2, 19, 8);
 }
 
 TEST(IncrementalEquivalenceTest, GridRefutationSweep) {
   // Grid at k = 2 is a "no": the retained state carrying the win is the
   // persistent negative store, the path the cycle sweeps never exercise.
-  RandomizedSweep(Grid2dHypergraph(5, 5), 2, 23, 6, 1);
+  RandomizedSweep(Grid2dHypergraph(5, 5), 2, 23, 6);
 }
 
 // Two 4-cycles joined by a bridge edge; removing the bridge splits the
@@ -297,8 +298,8 @@ TEST(IncrementalSolverTest, AttachedCacheServesAndLearns) {
 TEST(IncrementalSolverTest, SweepsNeverPoisonTheMemo) {
   obs::EnableCounters(true);
   obs::ResetCounters();
-  RandomizedSweep(CycleHypergraph(64), 2, 29, 4, 1);
-  RandomizedSweep(Grid2dHypergraph(4, 4), 2, 31, 4, 1);
+  RandomizedSweep(CycleHypergraph(64), 2, 29, 4);
+  RandomizedSweep(Grid2dHypergraph(4, 4), 2, 31, 4);
   const obs::CounterSnapshot s = obs::SnapshotCounters();
   EXPECT_EQ(s.counter(obs::Counter::kDeciderMemoPoisoned), 0);
   EXPECT_GT(s.counter(obs::Counter::kDeciderStates), 0);
@@ -308,12 +309,20 @@ TEST(IncrementalSolverTest, SweepsNeverPoisonTheMemo) {
 }
 #endif  // GHD_OBS_ENABLED
 
-// TSan coverage: the solver itself serves one mutation stream, but its
-// deciders parallelize internally — the sweep must stay race-free and give
-// schedule-independent verdicts.
-TEST(IncrementalSolverTest, ThreadedSweepMatchesScratch) {
-  RandomizedSweep(CycleHypergraph(64), 2, 37, 4, 4);
-  RandomizedSweep(Grid2dHypergraph(4, 4), 2, 41, 4, 4);
+// TSan coverage: each solver serves one mutation stream, and the fan-out
+// runs several streams at once with their cold paths consulting and feeding
+// one shared cache — the sweeps must stay race-free and every verdict must
+// still equal the scratch verdict.
+TEST(IncrementalSolverTest, FanOutSweepsShareOneCacheAndMatchScratch) {
+  DecompCache cache;
+  const std::vector<Hypergraph> bases = {CycleHypergraph(64),
+                                         Grid2dHypergraph(4, 4),
+                                         CycleHypergraph(64),
+                                         Grid2dHypergraph(4, 4)};
+  ParallelFor(4, static_cast<int>(bases.size()), [&](int i) {
+    RandomizedSweep(bases[i], 2, 37 + i, 4, &cache);
+  });
+  EXPECT_GT(cache.size(), 0u);
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // Observability-layer tests: counter determinism (single-threaded runs must
-// produce byte-identical snapshots across invocations), snapshot aggregation,
-// runtime gating, trace export structure, ring overwrite, and the RunReport
-// JSON emitter. The whole suite is a placeholder in GHD_OBS=OFF builds.
+// produce byte-identical snapshots across invocations), loss-free totals from
+// deciders on fan-out workers, snapshot aggregation, runtime gating, trace
+// export structure, ring overwrite, and the RunReport JSON emitter. The whole
+// suite is a placeholder in GHD_OBS=OFF builds.
 #include <string>
 
 #include "gtest/gtest.h"
@@ -13,6 +14,7 @@
 #include "gen/generators.h"
 #include "htd/det_k_decomp.h"
 #include "obs/run_report.h"
+#include "util/thread_pool.h"
 
 namespace ghd {
 namespace {
@@ -32,19 +34,17 @@ class ObsTest : public ::testing::Test {
   }
 };
 
-obs::CounterSnapshot RunDeciderOnce(const Hypergraph& h, int threads) {
+obs::CounterSnapshot RunDeciderOnce(const Hypergraph& h) {
   obs::ResetCounters();
-  KDeciderOptions options;
-  options.num_threads = threads;
-  HypertreeWidthResult r = HypertreeWidth(h, 0, options);
+  HypertreeWidthResult r = HypertreeWidth(h, 0);
   EXPECT_TRUE(r.exact);
   return obs::SnapshotCounters();
 }
 
 TEST_F(ObsTest, SingleThreadedRunsAreByteIdentical) {
   const Hypergraph h = Grid2dHypergraph(3, 3);
-  const obs::CounterSnapshot a = RunDeciderOnce(h, 1);
-  const obs::CounterSnapshot b = RunDeciderOnce(h, 1);
+  const obs::CounterSnapshot a = RunDeciderOnce(h);
+  const obs::CounterSnapshot b = RunDeciderOnce(h);
   EXPECT_TRUE(a == b);
   std::string ja, jb;
   a.AppendJson(&ja);
@@ -56,13 +56,29 @@ TEST_F(ObsTest, SingleThreadedRunsAreByteIdentical) {
   EXPECT_EQ(a.counter(obs::Counter::kTraceSpansDropped), 0);
 }
 
-TEST_F(ObsTest, ParallelRunNeverPoisonsTheMemo) {
+TEST_F(ObsTest, FanOutCounterTotalsAreLossFree) {
+  // Each ParallelFor worker counts into its own thread-local shard, folded
+  // into the totals when the worker exits. Every run is sequential and
+  // deterministic, so n runs spread over any number of workers must sum to
+  // exactly n times one run — no event lost or double-counted.
   const Hypergraph h = CliqueHypergraph(7);
+  const obs::CounterSnapshot one = RunDeciderOnce(h);
+  constexpr int kRuns = 8;
   for (int threads : {2, 8}) {
-    const obs::CounterSnapshot s = RunDeciderOnce(h, threads);
+    obs::ResetCounters();
+    ParallelFor(threads, kRuns, [&h](int) {
+      EXPECT_TRUE(HypertreeWidth(h, 0).exact);
+    });
+    const obs::CounterSnapshot s = obs::SnapshotCounters();
+    for (obs::Counter c : {obs::Counter::kDeciderStates,
+                           obs::Counter::kDeciderMemoInserts,
+                           obs::Counter::kDeciderLambdaTried,
+                           obs::Counter::kInternerMisses}) {
+      EXPECT_EQ(s.counter(c), kRuns * one.counter(c))
+          << obs::CounterName(c) << " threads=" << threads;
+    }
     EXPECT_EQ(s.counter(obs::Counter::kDeciderMemoPoisoned), 0)
         << "threads=" << threads;
-    EXPECT_GT(s.counter(obs::Counter::kDeciderStates), 0);
   }
 }
 

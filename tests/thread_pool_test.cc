@@ -1,3 +1,5 @@
+// ParallelFor: the flat fan-out loop across independent instances. Runs in
+// the TSan CI job.
 #include "util/thread_pool.h"
 
 #include <atomic>
@@ -10,36 +12,24 @@
 namespace ghd {
 namespace {
 
-TEST(ThreadPoolTest, SingleThreadRunsInline) {
-  ThreadPool pool(1);
-  EXPECT_FALSE(pool.parallel());
-  EXPECT_EQ(pool.num_threads(), 1);
-  // Inline mode executes immediately in submission order.
+TEST(ParallelForTest, OneThreadRunsInlineInOrder) {
   std::vector<int> order;
-  TaskGroup group(&pool);
-  for (int i = 0; i < 5; ++i) {
-    group.Run([&order, i] { order.push_back(i); });
-    EXPECT_EQ(static_cast<int>(order.size()), i + 1);
-  }
-  group.Wait();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(ThreadPoolTest, NullPoolParallelForIsSequential) {
-  std::vector<int> order;
-  ParallelFor(nullptr, 0, 8, [&order](int i) { order.push_back(i); });
+  ParallelFor(1, 8, [&order](int i) { order.push_back(i); });
   std::vector<int> expected(8);
   std::iota(expected.begin(), expected.end(), 0);
   EXPECT_EQ(order, expected);
 }
 
-TEST(ThreadPoolTest, ParallelForCoversEveryIndexOnce) {
-  ThreadPool pool(4);
-  EXPECT_TRUE(pool.parallel());
-  EXPECT_EQ(pool.num_threads(), 4);
+TEST(ParallelForTest, EmptyRangeRunsNothing) {
+  int calls = 0;
+  ParallelFor(4, 0, [&calls](int) { ++calls; });
+  EXPECT_EQ(calls, 0);
+}
+
+TEST(ParallelForTest, CoversEveryIndexOnce) {
   constexpr int kN = 10000;
   std::vector<std::atomic<int>> hits(kN);
-  ParallelFor(&pool, 0, kN, [&hits](int i) {
+  ParallelFor(4, kN, [&hits](int i) {
     hits[i].fetch_add(1, std::memory_order_relaxed);
   });
   for (int i = 0; i < kN; ++i) {
@@ -47,77 +37,39 @@ TEST(ThreadPoolTest, ParallelForCoversEveryIndexOnce) {
   }
 }
 
-TEST(ThreadPoolTest, ParallelForSum) {
-  ThreadPool pool(3);
+TEST(ParallelForTest, MoreThreadsThanIndices) {
   std::atomic<long> sum{0};
-  ParallelFor(&pool, 1, 1001, [&sum](int i) {
-    sum.fetch_add(i, std::memory_order_relaxed);
-  });
+  ParallelFor(8, 3, [&sum](int i) { sum.fetch_add(i + 1); });
+  EXPECT_EQ(sum.load(), 6);
+}
+
+TEST(ParallelForTest, ZeroMeansAllHardwareThreads) {
+  std::atomic<long> sum{0};
+  ParallelFor(0, 1000, [&sum](int i) { sum.fetch_add(i + 1); });
   EXPECT_EQ(sum.load(), 500500);
 }
 
-TEST(ThreadPoolTest, NestedForkJoin) {
-  // Forked tasks fork their own groups: the search engines nest fork-join up
-  // to kMaxForkDepth, and waiters must help (not block) or this deadlocks on
-  // small pools.
-  ThreadPool pool(2);
-  std::atomic<int> leaves{0};
-  TaskGroup outer(&pool);
-  for (int i = 0; i < 8; ++i) {
-    outer.Run([&pool, &leaves] {
-      TaskGroup inner(&pool);
-      for (int j = 0; j < 8; ++j) {
-        inner.Run([&leaves] { leaves.fetch_add(1); });
-      }
-      inner.Wait();
-    });
+TEST(ParallelForTest, RethrowsTheFirstException) {
+  for (int threads : {1, 4}) {
+    std::atomic<int> ran{0};
+    EXPECT_THROW(ParallelFor(threads, 64,
+                             [&ran](int i) {
+                               ran.fetch_add(1);
+                               if (i == 7) throw std::runtime_error("boom");
+                             }),
+                 std::runtime_error)
+        << "threads=" << threads;
+    // Indices handed out after the throw are skipped.
+    EXPECT_LE(ran.load(), 64);
+    EXPECT_GE(ran.load(), 8);
   }
-  outer.Wait();
-  EXPECT_EQ(leaves.load(), 64);
 }
 
-TEST(ThreadPoolTest, WaitRethrowsTaskException) {
-  ThreadPool pool(4);
-  TaskGroup group(&pool);
-  std::atomic<int> ran{0};
-  for (int i = 0; i < 16; ++i) {
-    group.Run([&ran, i] {
-      ran.fetch_add(1);
-      if (i == 7) throw std::runtime_error("boom");
-    });
-  }
-  EXPECT_THROW(group.Wait(), std::runtime_error);
-  // After the throwing Wait the group must be drained: the destructor's Wait
-  // must not rethrow or hang.
-}
-
-TEST(ThreadPoolTest, InlineExceptionPropagates) {
-  ThreadPool pool(1);
-  TaskGroup group(&pool);
-  group.Run([] { throw std::runtime_error("inline boom"); });
-  EXPECT_THROW(group.Wait(), std::runtime_error);
-}
-
-TEST(ThreadPoolTest, EffectiveThreads) {
-  EXPECT_EQ(ThreadPool::EffectiveThreads(1), 1);
-  EXPECT_EQ(ThreadPool::EffectiveThreads(6), 6);
-  EXPECT_GE(ThreadPool::EffectiveThreads(0), 1);
-  EXPECT_GE(ThreadPool::EffectiveThreads(-3), 1);
-}
-
-TEST(ThreadPoolTest, ManySmallGroups) {
-  // Pool reuse across many short-lived groups (the per-root pattern in
-  // DecideWidthK): no task leakage between groups.
-  ThreadPool pool(4);
-  for (int round = 0; round < 50; ++round) {
-    std::atomic<int> count{0};
-    TaskGroup group(&pool);
-    for (int i = 0; i < 10; ++i) {
-      group.Run([&count] { count.fetch_add(1); });
-    }
-    group.Wait();
-    ASSERT_EQ(count.load(), 10) << "round " << round;
-  }
+TEST(ParallelForTest, EffectiveThreads) {
+  EXPECT_EQ(EffectiveThreads(1), 1);
+  EXPECT_EQ(EffectiveThreads(6), 6);
+  EXPECT_GE(EffectiveThreads(0), 1);
+  EXPECT_GE(EffectiveThreads(-3), 1);
 }
 
 }  // namespace

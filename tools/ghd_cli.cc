@@ -45,10 +45,12 @@
 //                    and keys only, no timings — so a cold and a warm run of
 //                    the same manifest produce byte-identical files (CI's
 //                    cache-smoke asserts exactly that)
+//   --threads N      instances solved at once (1 = one at a time, the
+//                    default; 0 = all hardware threads). Every solve is
+//                    sequential; threads only spread the manifest's
+//                    instances. A usage error on every other command.
 //
 // Global flags:
-//   --threads N      executors for the ghw/hw/decompose searches (1 =
-//                    sequential default, 0 = all hardware threads)
 //   --timeout-ms N   wall-clock deadline for the budgeted commands; overrides
 //                    the positional seconds budget
 //   --memory-mb N    approximate memory budget for the search caches
@@ -141,7 +143,7 @@ extern "C" void HandleSigint(int) {
 int Usage() {
   std::cerr
       << "usage: ghd_cli <stats|bounds|ghw|anytime|hw|bip|tw|fhw|components|"
-         "td|decompose>\n               <file.hg> [budget] [--threads N] "
+         "td|decompose>\n               <file.hg> [budget] "
          "[--timeout-ms N] [--memory-mb N] [--seed N] [--no-simd]\n"
          "               "
          "[--counters] [--trace-out=FILE] [--report-out=FILE] [--verbose]\n"
@@ -149,7 +151,7 @@ int Usage() {
          "[--metrics-interval-ms N]\n"
          "       ghd_cli <decide-many|anytime-many> <manifest> [k]\n"
          "               [--cache-file=FILE] [--cache-mb N] [--no-cache] "
-         "[--out=FILE]\n"
+         "[--out=FILE] [--threads N]\n"
          "       ghd_cli replay <file.trace> [k]\n"
          "               [--cache-file=FILE] [--cache-mb N] [--no-cache]\n";
   return kExitUsage;
@@ -262,7 +264,6 @@ int RunBatchCommand(const BatchParams& bp) {
     }
   }
 
-  ThreadPool pool(bp.num_threads);
   const bool decide = bp.command == "decide-many";
   std::vector<CachedDecideResult> decide_results(n);
   std::vector<CachedAnytimeResult> anytime_results(n);
@@ -270,23 +271,21 @@ int RunBatchCommand(const BatchParams& bp) {
     if (decide) {
       KDeciderOptions options;
       options.budget = bp.governor;
-      options.num_threads = 1;  // parallelism is across instances here
       decide_results[i] = CachedDecideHw(prepared[i], bp.k, cache_ptr,
                                          options);
     } else {
       AnytimeOptions options;
       options.budget = bp.governor;
-      options.num_threads = 1;
       options.seed = static_cast<uint64_t>(bp.seed);
       anytime_results[i] = CachedAnytimeGhw(prepared[i], options, cache_ptr);
     }
   };
   // Pass 1: unique keys (the only real solves when the cache is armed).
-  ParallelFor(&pool, 0, static_cast<int>(reps.size()),
+  ParallelFor(bp.num_threads, static_cast<int>(reps.size()),
               [&](int idx) { solve_one(reps[idx]); });
   // Pass 2: duplicates — cache hits when armed, independent solves under
   // --no-cache (the cold baseline the bench compares against).
-  ParallelFor(&pool, 0, n, [&](int i) {
+  ParallelFor(bp.num_threads, n, [&](int i) {
     if (!is_rep[i]) solve_one(i);
   });
 
@@ -358,7 +357,6 @@ struct ReplayParams {
   bool use_cache = true;
   long cache_mb = 64;
   int k_override = 0;  // 0 = the trace's default k
-  int num_threads = 1;
   ghd::Budget* governor = nullptr;
 };
 
@@ -398,7 +396,6 @@ int RunReplayCommand(const ReplayParams& rp) {
   }
 
   IncrementalOptions opts;
-  opts.num_threads = rp.num_threads;
   opts.budget = rp.governor;
   opts.cache = cache.has_value() ? &*cache : nullptr;
   IncrementalSolver solver(trace.base, opts);
@@ -480,6 +477,7 @@ int main(int argc, char** argv) {
   using namespace ghd;
   // Split flags from positional arguments.
   int num_threads = 1;
+  bool threads_given = false;
   long timeout_ms = 0;
   long memory_mb = 0;
   long seed = 1;
@@ -532,6 +530,7 @@ int main(int argc, char** argv) {
     long threads_value = 0;
     if (long_flag("--threads", &threads_value)) {
       num_threads = static_cast<int>(threads_value);
+      threads_given = true;
     } else if (long_flag("--timeout-ms", &timeout_ms) ||
                long_flag("--memory-mb", &memory_mb) ||
                long_flag("--seed", &seed) ||
@@ -564,6 +563,13 @@ int main(int argc, char** argv) {
   }
   if (args.size() < 2) return Usage();
   const std::string command = args[0];
+  // Threads spread the instances of a manifest; a single search is
+  // sequential, so the flag means nothing anywhere else.
+  if (threads_given && command != "decide-many" && command != "anytime-many") {
+    std::cerr << "error: --threads applies only to decide-many and "
+                 "anytime-many\n";
+    return Usage();
+  }
 
 #if GHD_OBS_ENABLED
   // Heartbeat rates, sampler deltas, and attribution deltas all derive from
@@ -669,7 +675,6 @@ int main(int argc, char** argv) {
                                                        : budget_arg);
       ExactGhwOptions options;
       options.budget = &governor;
-      options.num_threads = num_threads;
       options.seed = static_cast<uint64_t>(seed);
       ExactGhwResult r = ExactGhwComponentwise(h, options);
       run.lower_bound = r.lower_bound;
@@ -686,7 +691,6 @@ int main(int argc, char** argv) {
       AnytimeOptions options;
       options.budget = &governor;
       if (deadline_seconds > 0) governor.SetDeadlineSeconds(deadline_seconds);
-      options.num_threads = num_threads;
       options.seed = static_cast<uint64_t>(seed);
       AnytimeGhwResult r = AnytimeGhw(h, options);
       run.lower_bound = r.lower_bound;
@@ -715,7 +719,6 @@ int main(int argc, char** argv) {
       }
       KDeciderOptions options;
       options.budget = &governor;
-      options.num_threads = num_threads;
       HypertreeWidthResult r = HypertreeWidth(h, 0, options);
       if (r.exact) {
         run.lower_bound = run.upper_bound = r.width;
@@ -739,10 +742,8 @@ int main(int argc, char** argv) {
       SubedgeClosureOptions closure;
       closure.max_union_arity = k;
       closure.budget = &governor;
-      closure.num_threads = num_threads;
       KDeciderOptions options;
       options.budget = &governor;
-      options.num_threads = num_threads;
       KDeciderResult r = BipGhwDecide(h, k, closure, options);
       run.lower_bound = 1;
       run.upper_bound = h.num_edges();
@@ -813,7 +814,6 @@ int main(int argc, char** argv) {
       rp.cache_mb = cache_mb;
       rp.k_override = args.size() > 2 ? std::atoi(args[2].c_str()) : 0;
       if (args.size() > 2 && rp.k_override < 1) return Usage();
-      rp.num_threads = num_threads;
       rp.governor = &governor;
       return RunReplayCommand(rp);
     }
@@ -840,7 +840,6 @@ int main(int argc, char** argv) {
                                                        : budget_arg);
       ExactGhwOptions options;
       options.budget = &governor;
-      options.num_threads = num_threads;
       options.seed = static_cast<uint64_t>(seed);
       ExactGhwResult r = ExactGhw(h, options);
       run.lower_bound = r.lower_bound;

@@ -35,7 +35,6 @@ BOARD_ROWS = (
     ("memo_states", "memo occupancy"),
     ("interner_sets", "interned sets"),
     ("guard_family", "guard family size"),
-    ("dp_layer", "subset-DP layer"),
 )
 
 RATE_ROWS = (

@@ -166,7 +166,7 @@ def check_report_attribution(report, min_coverage, errors):
 
 HEARTBEAT_INT_KEYS = (
     "seq", "lb", "ub", "k", "frontier_depth", "memo_states", "interner_sets",
-    "guard_family", "dp_layer", "incr_version", "incr_retained", "ticks",
+    "guard_family", "incr_version", "incr_retained", "ticks",
     "resident_kb", "bytes_charged",
 )
 HEARTBEAT_NUMBER_KEYS = (
