@@ -365,9 +365,10 @@ void BM_ScalarCoverCheck(benchmark::State& state) {
 BENCHMARK(BM_ScalarCoverCheck)->Arg(128)->Arg(256)->Arg(512);
 
 // Canonical fingerprinting cost (hypergraph/canonical.h) on the cycle, the
-// worst suite family: vertex-transitive, so 1-WL refinement alone never
-// discretizes and every run pays the full individualization-refinement
-// search (~2n nodes). This is the per-instance overhead the decomposition
+// largest vertex-transitive suite family: 1-WL refinement alone never
+// discretizes, so every run pays the individualization-refinement search,
+// each node re-refining a wave that crosses the whole cycle (a handful of
+// nodes once the rotations and reflections found prune the rest). This is the per-instance overhead the decomposition
 // cache charges on every ask, hit or miss; the perf-smoke gate pins /256 so
 // a quadratic slip in refinement or an accidental re-refinement per branch
 // shows up before it erases the repeat-traffic win.
@@ -379,6 +380,26 @@ void BM_Canonicalize(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Canonicalize)->Arg(24)->Arg(64)->Arg(256);
+
+// Canonical fingerprinting on the highly symmetric repeat-traffic classes:
+// K8 (automorphism group of order 8!), a 12-arm star and a 10-gadget bridge.
+// Refinement alone splits none of them, so every level of the
+// individualization search branches over interchangeable vertices; only
+// orbit pruning below the root plus the backjump on a proven automorphism
+// keep the search at tens of nodes instead of exhausting the node budget.
+// The perf-smoke gate pins the clique_8 row: losing the pruning costs ~100x.
+void BM_CanonicalizeSymmetric(benchmark::State& state, Hypergraph (*make)()) {
+  const Hypergraph h = make();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(Canonicalize(h).key.lo);
+  }
+}
+BENCHMARK_CAPTURE(BM_CanonicalizeSymmetric, clique_8,
+                  +[] { return CliqueHypergraph(8); });
+BENCHMARK_CAPTURE(BM_CanonicalizeSymmetric, star_12,
+                  +[] { return StarHypergraph(12, 4); });
+BENCHMARK_CAPTURE(BM_CanonicalizeSymmetric, bridge_10,
+                  +[] { return BridgeHypergraph(10); });
 
 // The full warm-hit serving path of the decomposition cache: reduce +
 // canonicalize an isomorphic re-ask, look its key up, rehydrate the cached

@@ -289,6 +289,7 @@ SubedgeClosureResult FullSubedgeClosure(const Hypergraph& h, size_t max_guards,
   }
   GHD_COUNT_N(kSubedgesGenerated, result.family.size());
   GHD_GAUGE_MAX(kMaxGuardFamily, result.family.size());
+  span.SetArg("guards", result.family.size());
   return result;
 }
 

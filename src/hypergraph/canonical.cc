@@ -56,13 +56,15 @@ struct Coloring {
   std::unordered_map<uint64_t, int> ecount;
 };
 
-// The canonical leaf found so far: its encoding (compared lexicographically)
-// and the permutations that produced it.
-struct BestLeaf {
+// A leaf the search keeps for comparison: its encoding (compared
+// lexicographically), the permutations that produced it, and the path of
+// individualized vertices that reached it.
+struct Leaf {
   bool set = false;
   std::vector<uint32_t> encoding;
   std::vector<int> vertex_perm;
   std::vector<int> edge_perm;
+  std::vector<int> path;
 };
 
 class CanonicalSearch {
@@ -79,10 +81,7 @@ class CanonicalSearch {
     std::vector<int> all_v(n_), all_e(m_);
     std::iota(all_v.begin(), all_v.end(), 0);
     std::iota(all_e.begin(), all_e.end(), 0);
-    orbit_.resize(n_);
-    std::iota(orbit_.begin(), orbit_.end(), 0);
-    Search(std::move(start), std::move(all_v), std::move(all_e),
-           /*depth=*/0);
+    Search(std::move(start), std::move(all_v), std::move(all_e));
     GHD_CHECK(best_.set);
     result.vertex_perm = std::move(best_.vertex_perm);
     result.edge_perm = std::move(best_.edge_perm);
@@ -279,23 +278,10 @@ class CanonicalSearch {
                            static_cast<size_t>(inc.stride_words())) == 0;
   }
 
-  // Orbit partition of the automorphisms discovered so far (two leaves with
-  // equal encodings compose to an automorphism). Path-halving find.
-  int Find(int x) {
-    while (orbit_[x] != x) x = orbit_[x] = orbit_[orbit_[x]];
-    return x;
-  }
-  void Union(int a, int b) {
-    a = Find(a);
-    b = Find(b);
-    if (a != b) orbit_[a] = b;
-  }
-
   // The recursive individualization-refinement search. Consumes `c` and the
   // dirty worklists seeding its refinement (the root passes everything; a
-  // branch passes just its individualized vertex).
-  void Search(Coloring c, std::vector<int> dirty_v, std::vector<int> dirty_e,
-              int depth) {
+  // branch passes just its individualized vertex, already pushed on path_).
+  void Search(Coloring c, std::vector<int> dirty_v, std::vector<int> dirty_e) {
     ++nodes_;
     Refine(&c, std::move(dirty_v), std::move(dirty_e));
     // Group vertices into color cells (sorted by color value, which is
@@ -326,7 +312,7 @@ class CanonicalSearch {
       i = j;
     }
     if (target_begin < 0) {
-      EmitLeaf(c, order);
+      EmitLeaf(order);
       return;
     }
     if (nodes_ >= options_.max_nodes) fallback_ = true;
@@ -345,27 +331,47 @@ class CanonicalSearch {
       }
       if (!duplicate) reps.push_back(v);
     }
-    // Root-level orbit pruning (McKay): if an already-explored root branch u
-    // is in the same orbit as v under the automorphisms found so far, v's
-    // subtree is the automorphic image of u's — same leaf encodings, nothing
-    // new to find. Only sound at the root, where there is no individualized
-    // prefix the automorphism would have to stabilize; deeper levels branch
-    // exhaustively. This is what tames vertex-transitive families: on a
-    // cycle the first branch discovers the rotation, and the remaining
-    // n - 1 root branches collapse to orbit lookups.
-    std::vector<int> branched;
-    for (size_t b = 0; b < reps.size(); ++b) {
-      const int v = reps[b];
-      if (depth == 0) {
+    // Orbit pruning at every level (McKay-Piperno): an automorphism that
+    // fixes this node's prefix pointwise maps the node onto itself, so a
+    // child in the orbit of an explored sibling under such automorphisms
+    // roots the automorphic image of that sibling's subtree — the same leaf
+    // encodings, nothing new to find. The orbits are a union-find over the
+    // vertices, fed incrementally as the children's leaves discover
+    // automorphisms. On a vertex-transitive family the first branch finds
+    // the symmetries that collapse its siblings; on a clique each level
+    // collapses to one branch once the level below has found its
+    // transposition.
+    const int depth = static_cast<int>(path_.size());
+    std::vector<int> orbit;
+    if (reps.size() > 1) {
+      orbit.resize(n_);
+      std::iota(orbit.begin(), orbit.end(), 0);
+    }
+    auto find = [&orbit](int x) {
+      while (orbit[x] != x) x = orbit[x] = orbit[orbit[x]];
+      return x;
+    };
+    size_t absorbed = 0;  // automorphisms_ already folded into `orbit`
+    std::vector<int> explored;
+    for (const int v : reps) {
+      if (!orbit.empty()) {
+        for (; absorbed < automorphisms_.size(); ++absorbed) {
+          const std::vector<int>& gamma = automorphisms_[absorbed];
+          if (!FixesPrefix(gamma, depth)) continue;
+          for (int x = 0; x < n_; ++x) {
+            const int a = find(x), b = find(gamma[x]);
+            if (a != b) orbit[a] = b;
+          }
+        }
         bool seen = false;
-        for (const int u : branched) {
-          if (Find(u) == Find(v)) {
+        for (const int u : explored) {
+          if (find(u) == find(v)) {
             seen = true;
             break;
           }
         }
         if (seen) continue;
-        branched.push_back(v);
+        explored.push_back(v);
       }
       Coloring child = c;
       const uint64_t old = child.vc[v];
@@ -373,15 +379,33 @@ class CanonicalSearch {
       if (--child.vcount.at(old) == 0) child.vcount.erase(old);
       child.vcount[fresh] += 1;
       child.vc[v] = fresh;
-      Search(std::move(child), {v}, {}, depth + 1);
+      path_.push_back(v);
+      Search(std::move(child), {v}, {});
+      path_.pop_back();
       if (fallback_) break;
+      // A leaf below proved this child's subtree an automorphic image of an
+      // explored one and asked to unwind to `backjump_`: deeper nodes return,
+      // the target node resumes with its next child.
+      if (backjump_ >= 0) {
+        if (backjump_ < depth) return;
+        backjump_ = -1;
+      }
     }
+  }
+
+  // True when gamma fixes every individualized vertex of path_[0, depth).
+  bool FixesPrefix(const std::vector<int>& gamma, int depth) const {
+    for (int i = 0; i < depth; ++i) {
+      if (gamma[path_[i]] != path_[i]) return false;
+    }
+    return true;
   }
 
   // A discrete (or twin-resolved) leaf: derive the permutations, build the
   // canonical encoding, and keep it when lexicographically smaller than the
-  // best seen.
-  void EmitLeaf(const Coloring& c, const std::vector<int>& vertex_order) {
+  // best seen. A leaf whose encoding equals the first or the best leaf's
+  // proves an automorphism instead.
+  void EmitLeaf(const std::vector<int>& vertex_order) {
     std::vector<int> vperm(n_);
     for (int i = 0; i < n_; ++i) vperm[vertex_order[i]] = i;
     // Relabel every edge and sort members.
@@ -414,13 +438,11 @@ class CanonicalSearch {
       encoding.insert(encoding.end(), relabeled[e].begin(),
                       relabeled[e].end());
     }
-    if (best_.set && encoding == best_.encoding) {
-      // Same canonical leaf through a different relabeling: the composition
-      // of the two permutations is an automorphism of h. Fold it into the
-      // orbit partition so the root loop can prune its images.
-      std::vector<int> inv(n_);
-      for (int v = 0; v < n_; ++v) inv[vperm[v]] = v;
-      for (int v = 0; v < n_; ++v) Union(v, inv[best_.vertex_perm[v]]);
+    const Leaf* same = first_.set && encoding == first_.encoding ? &first_
+                       : best_.set && encoding == best_.encoding  ? &best_
+                                                                  : nullptr;
+    if (same != nullptr) {
+      RecordAutomorphism(*same, vertex_order);
       return;
     }
     if (best_.set && encoding > best_.encoding) return;
@@ -429,6 +451,29 @@ class CanonicalSearch {
     best_.vertex_perm = std::move(vperm);
     best_.edge_perm.assign(m_, 0);
     for (int i = 0; i < m_; ++i) best_.edge_perm[edge_order[i]] = i;
+    best_.path = path_;
+    if (!first_.set) first_ = best_;
+  }
+
+  // The current leaf (canonical order `vertex_order`) relabels h into the
+  // same hypergraph as `ref`, so gamma — ref's vertex at each canonical
+  // position mapped to this leaf's — is an automorphism of h. Store it for
+  // the orbit pruning; and when gamma fixes the prefix the two paths share
+  // and maps ref's next vertex onto ours, the subtree this leaf lies in is
+  // gamma's image of ref's, fully explored already: unwind to the
+  // divergence depth.
+  void RecordAutomorphism(const Leaf& ref,
+                          const std::vector<int>& vertex_order) {
+    std::vector<int> gamma(n_);
+    for (int v = 0; v < n_; ++v) gamma[v] = vertex_order[ref.vertex_perm[v]];
+    const std::vector<int>& r = ref.path;
+    size_t d = 0;
+    while (d < r.size() && d < path_.size() && r[d] == path_[d]) ++d;
+    if (d < r.size() && d < path_.size() && gamma[r[d]] == path_[d] &&
+        FixesPrefix(gamma, static_cast<int>(d))) {
+      backjump_ = static_cast<int>(d);
+    }
+    automorphisms_.push_back(std::move(gamma));
   }
 
   const Hypergraph& h_;
@@ -436,13 +481,19 @@ class CanonicalSearch {
   const CanonicalizeOptions& options_;
   const int n_;
   const int m_;
-  BestLeaf best_;
+  Leaf first_;
+  Leaf best_;
+  // Individualized vertices from the root to the current node.
+  std::vector<int> path_;
+  // Every automorphism the leaves have proved, as vertex permutations.
+  std::vector<std::vector<int>> automorphisms_;
+  // Depth a leaf asked the search to unwind to, or -1.
+  int backjump_ = -1;
   // Visit stamps for the worklist dedup in Refine (shared across the whole
   // search; the counter only moves forward).
   std::vector<uint64_t> stamp_v_;
   std::vector<uint64_t> stamp_e_;
   uint64_t stamp_ = 1;
-  std::vector<int> orbit_;
   long nodes_ = 0;
   long rounds_ = 0;
   bool fallback_ = false;

@@ -1,14 +1,19 @@
 // Canonical fingerprinting: isomorphism-differential tests (random
-// relabelings keep the key), near-miss pairs (same degree profiles, distinct
-// keys), and the interaction with subsumed-edge reduction and witness
-// rehydration.
+// relabelings keep the key), symmetric families that must finish inside a
+// small node budget, golden keys that persisted cache files depend on,
+// near-miss pairs (same degree profiles, distinct keys), and the interaction
+// with subsumed-edge reduction and witness rehydration.
 #include <algorithm>
 #include <numeric>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "cache/cached_solver.h"
+#include "gen/circuits.h"
 #include "gen/generators.h"
 #include "gen/random_hypergraphs.h"
+#include "graph/graph.h"
 #include "gtest/gtest.h"
 #include "htd/det_k_decomp.h"
 #include "hypergraph/canonical.h"
@@ -40,6 +45,21 @@ InstanceKey ExpectInvariantKey(const Hypergraph& h, uint64_t seed) {
   EXPECT_EQ(base.key, other.key)
       << "key not invariant under relabeling (seed " << seed << ")";
   return base.key;
+}
+
+// A 2-uniform hypergraph from an edge list over vertices 0..n-1.
+Hypergraph GraphHypergraph(int n, const std::vector<std::pair<int, int>>& es) {
+  Graph g(n);
+  for (const auto& [u, v] : es) g.AddEdge(u, v);
+  return HypergraphBuilder::FromGraph(g);
+}
+
+Hypergraph K33() {
+  std::vector<std::pair<int, int>> es;
+  for (int a = 0; a < 3; ++a) {
+    for (int b = 3; b < 6; ++b) es.push_back({a, b});
+  }
+  return GraphHypergraph(6, es);
 }
 
 TEST(CanonicalTest, KeyInvariantAcrossFamilies) {
@@ -138,6 +158,105 @@ TEST(CanonicalTest, ParallelEdgesAndIsolatedVerticesAreHandled) {
   b.AddVertex("isolated2");
   const Hypergraph h = std::move(b).Build();
   ExpectInvariantKey(h, 42);
+}
+
+// Highly symmetric families: orbit pruning at every level of the search plus
+// the backjump on a proven automorphism keep them far below the node budget.
+// The 512-node bound is 8x under the default budget, so a slide back to a
+// factorial search (the budget-exhausting clique_8 or star_12 of root-only
+// pruning) fails here instead of silently degrading to non-canonical keys.
+TEST(CanonicalTest, SymmetricFamiliesStayCanonical) {
+  std::vector<std::pair<std::string, Hypergraph>> families;
+  for (int n = 6; n <= 10; ++n) {
+    families.emplace_back("clique_" + std::to_string(n), CliqueHypergraph(n));
+  }
+  families.emplace_back("star_12_4", StarHypergraph(12, 4));
+  families.emplace_back("star_20_3", StarHypergraph(20, 3));
+  families.emplace_back("bridge_10", BridgeHypergraph(10));
+  families.emplace_back("hypercube_4", HypercubeHypergraph(4));
+  families.emplace_back("k33", K33());
+  families.emplace_back("petersen",
+                        HypergraphBuilder::FromGraph(PetersenGraph()));
+  Rng rng(23);
+  for (const auto& [name, h] : families) {
+    const CanonicalFormResult base = Canonicalize(h);
+    EXPECT_TRUE(base.canonical) << name;
+    EXPECT_LE(base.nodes_explored, 512) << name;
+    for (int rep = 0; rep < 5; ++rep) {
+      const CanonicalFormResult other = Canonicalize(RelabeledHypergraph(
+          h, RandomPerm(h.num_vertices(), &rng),
+          RandomPerm(h.num_edges(), &rng)));
+      EXPECT_TRUE(other.canonical) << name;
+      EXPECT_LE(other.nodes_explored, 512) << name;
+      EXPECT_EQ(base.key, other.key) << name << " relabeling " << rep;
+    }
+  }
+}
+
+// A 3-regular disjoint union of K4, the triangular prism and an 8-vertex
+// cubic graph: 1-WL sees 18 alike vertices, and the search proves
+// automorphisms inside one component while another holds the individualized
+// prefix. Only those that fix the prefix may prune a node's children; an
+// automorphism that moves a prefix vertex says nothing about the node's
+// subtree. Folding it in anyway loses the minimum leaf on a large share of
+// relabelings of this instance, so the key stops being invariant.
+TEST(CanonicalTest, PruningRespectsTheIndividualizedPrefix) {
+  const Hypergraph h = GraphHypergraph(
+      18, {{0, 1},   {0, 2},   {0, 3},   {1, 2},   {1, 3},   {2, 3},
+           {4, 6},   {4, 7},   {4, 9},   {5, 6},   {5, 7},   {5, 8},
+           {6, 9},   {7, 8},   {8, 9},   {10, 11}, {10, 12}, {10, 14},
+           {11, 15}, {11, 17}, {12, 13}, {12, 17}, {13, 14}, {13, 16},
+           {14, 15}, {15, 16}, {16, 17}});
+  for (uint64_t seed = 300; seed < 310; ++seed) ExpectInvariantKey(h, seed);
+}
+
+// Golden keys of instances that were already canonical before orbit pruning
+// reached below the root. Pruning skips only automorphic images of explored
+// subtrees, so the minimum leaf encoding — and with it every key a persisted
+// cache file holds — must not move. A change here needs a cache format bump
+// (cache/decomp_cache.cc).
+TEST(CanonicalTest, PinnedKeysAreStable) {
+  const std::pair<Hypergraph, const char*> pinned[] = {
+      {Grid2dHypergraph(5, 5), "bbc3c95a6920fed2694bf929309d3157"},
+      {CycleHypergraph(256), "66dc6ca0d34cafbf6100e1260bf04586"},
+      {TriangleStripHypergraph(64), "b85af17a26d03decad73f852f8f169f4"},
+      {WindowPathHypergraph(160, 6, 3), "579fafbd1e3b60ed95e2836384ae0f5c"},
+      {BridgeHypergraph(6), "c5d0fd1dcfcdf025809f6c328ce51b5e"},
+      {HypercubeHypergraph(4), "22d1aff0e9257941d6eea9463898cb56"},
+      {RandomUniformHypergraph(16, 16, 3, 11),
+       "fd62e40f211c3bc7b9a998f63065fbe5"},
+  };
+  for (const auto& [h, hex] : pinned) {
+    const CanonicalFormResult r = Canonicalize(h);
+    EXPECT_TRUE(r.canonical) << hex;
+    EXPECT_EQ(r.key.ToHex(), hex);
+  }
+}
+
+// Symmetric near-miss pairs: equal vertex and edge counts, both 3-regular,
+// both with large automorphism groups — the pruned search must still tell
+// them apart. K3,3 vs the triangular prism; the 3-cube vs two disjoint K4.
+TEST(CanonicalTest, DistinguishesSymmetricNearMisses) {
+  const Hypergraph prism = GraphHypergraph(
+      6, {{0, 1}, {1, 2}, {2, 0}, {3, 4}, {4, 5}, {5, 3}, {0, 3}, {1, 4},
+          {2, 5}});
+  std::vector<std::pair<int, int>> k4s;
+  for (int base : {0, 4}) {
+    for (int a = 0; a < 4; ++a) {
+      for (int b = a + 1; b < 4; ++b) k4s.push_back({base + a, base + b});
+    }
+  }
+  const Hypergraph two_k4 = GraphHypergraph(8, k4s);
+  const std::pair<Hypergraph, Hypergraph> pairs[] = {
+      {K33(), prism}, {HypercubeHypergraph(3), two_k4}};
+  for (const auto& [a, b] : pairs) {
+    ASSERT_EQ(a.num_vertices(), b.num_vertices());
+    ASSERT_EQ(a.num_edges(), b.num_edges());
+    const CanonicalFormResult ka = Canonicalize(a);
+    const CanonicalFormResult kb = Canonicalize(b);
+    EXPECT_TRUE(ka.canonical && kb.canonical);
+    EXPECT_NE(ka.key, kb.key);
+  }
 }
 
 TEST(CanonicalTest, NodeBudgetFallbackIsDeterministic) {

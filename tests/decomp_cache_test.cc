@@ -330,6 +330,36 @@ TEST(CachedSolverTest, IsomorphicInstancesShareOneEntry) {
   EXPECT_EQ(cache.size(), 1u);
 }
 
+// clique_8 and star_12 have automorphism groups of order 8! and 12!(3!)^12;
+// their canonical forms must still finish inside the node budget, so a
+// relabeled re-ask keys to the first ask's entry and is served from it.
+TEST(CachedSolverTest, SymmetricRelabelingsAreServedFromCache) {
+  struct Case {
+    Hypergraph h;
+    int k;
+  };
+  const Case cases[] = {{CliqueHypergraph(8), 4}, {StarHypergraph(12, 4), 1}};
+  Rng rng(29);
+  for (const Case& c : cases) {
+    DecompCache cache;
+    for (int rep = 0; rep < 2; ++rep) {
+      std::vector<int> vperm(c.h.num_vertices());
+      std::vector<int> eperm(c.h.num_edges());
+      for (size_t i = 0; i < vperm.size(); ++i) vperm[i] = static_cast<int>(i);
+      for (size_t i = 0; i < eperm.size(); ++i) eperm[i] = static_cast<int>(i);
+      rng.Shuffle(&vperm);
+      rng.Shuffle(&eperm);
+      const PreparedInstance p =
+          PrepareInstance(RelabeledHypergraph(c.h, vperm, eperm));
+      EXPECT_TRUE(p.canon.canonical);
+      const CachedDecideResult r = CachedDecideHw(p, c.k, &cache);
+      ASSERT_TRUE(r.decided && r.exists);
+      EXPECT_EQ(r.from_cache, rep == 1);
+      EXPECT_TRUE(r.decomposition.Validate(p.original).ok());
+    }
+  }
+}
+
 TEST(CachedSolverTest, TruncatedRunsAreNeverCached) {
   DecompCache cache;
   const PreparedInstance p = PrepareInstance(Grid2dHypergraph(4, 4));
