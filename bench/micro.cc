@@ -26,8 +26,7 @@
 #include "htd/det_k_decomp.h"
 #include "obs/obs.h"
 #if GHD_OBS_ENABLED
-#include "obs/heartbeat.h"
-#include "obs/metrics_sampler.h"
+#include "obs/sampler.h"
 #endif
 #include "setcover/set_cover.h"
 #include "td/bucket_elimination.h"
@@ -174,8 +173,8 @@ BENCHMARK(BM_DetKDecomp)->Arg(3)->Arg(6);
 
 // Live-introspection overhead pair, pinned by the perf-smoke gate: the same
 // width-k decision with the whole surface armed — counters, progress board,
-// attribution, plus a background sampler and heartbeat at their default
-// cadences writing to a sink — vs everything off (/0). The feature's
+// attribution, plus the background sampler at its default 100ms cadence
+// writing heartbeat lines to a sink — vs everything off (/0). The feature's
 // acceptance bar is a <2% suite-row delta; this pinned pair catches the
 // catastrophic version of a regression (a publish, lock, or snapshot
 // sneaking into the per-state hot path).
@@ -184,18 +183,15 @@ void BM_DeciderIntrospection(benchmark::State& state) {
   const Hypergraph h = AdderHypergraph(6);
 #if GHD_OBS_ENABLED
   std::ofstream sink("/dev/null");
-  std::optional<obs::MetricsSampler> sampler;
-  std::optional<obs::Heartbeat> heartbeat;
+  std::optional<obs::Sampler> sampler;
   if (introspect) {
     obs::EnableCounters(true);
     obs::EnableBoard(true);
     obs::EnableAttribution(true);
-    sampler.emplace();  // default 100ms cadence
+    obs::Sampler::Options options;  // default 100ms cadence
+    options.heartbeat_out = &sink;
+    sampler.emplace(options);
     sampler->Start();
-    obs::Heartbeat::Options options;  // default 1000ms cadence
-    options.out = &sink;
-    heartbeat.emplace(options);
-    heartbeat->Start();
   }
 #endif
   for (auto _ : state) {
@@ -203,7 +199,6 @@ void BM_DeciderIntrospection(benchmark::State& state) {
   }
 #if GHD_OBS_ENABLED
   if (introspect) {
-    heartbeat->Stop();
     sampler->Stop();
     obs::EnableAttribution(false);
     obs::EnableBoard(false);

@@ -1,7 +1,6 @@
 #include "cache/decomp_cache.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <cstring>
 #include <list>
@@ -31,12 +30,6 @@ constexpr size_t kEntryOverhead = 128;
 size_t VecBytes(const std::vector<int32_t>& v) {
   return v.size() * sizeof(int32_t);
 }
-
-// Running totals mirrored onto the progress board: board slots are
-// set-not-add, so the cache keeps its own monotone totals (process-global,
-// like the counters the board complements).
-std::atomic<long> g_total_hits{0};
-std::atomic<long> g_total_misses{0};
 
 bool WriteVec(std::FILE* f, const std::vector<int32_t>& v) {
   const uint64_t count = v.size();
@@ -178,15 +171,11 @@ bool DecompCache::Lookup(const InstanceKey& key, CacheEntry* out) {
   auto it = shard.map.find(key);
   if (it == shard.map.end()) {
     GHD_COUNT(kCacheMisses);
-    GHD_BOARD_SET(kCacheMisses,
-                  g_total_misses.fetch_add(1, std::memory_order_relaxed) + 1);
     return false;
   }
   shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_it);
   *out = it->second.entry;
   GHD_COUNT(kCacheHits);
-  GHD_BOARD_SET(kCacheHits,
-                g_total_hits.fetch_add(1, std::memory_order_relaxed) + 1);
   return true;
 }
 

@@ -12,8 +12,6 @@ const char* const kSlotNames[kNumBoardSlots] = {
     "memo_states",
     "interner_sets",
     "guard_family",
-    "cache_hits",
-    "cache_misses",
     "incr_version",
     "incr_retained",
 };

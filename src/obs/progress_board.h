@@ -1,8 +1,8 @@
 // Live progress board: a fixed set of process-global atomic slots that the
 // engines publish their current position into (phase, anytime rung, best
 // certified bounds, search frontier depth, memo/interner occupancy), read by
-// the heartbeat emitter and any other live surface (the future metrics
-// endpoint of the decomposition service).
+// the sampler's heartbeat lines (obs/sampler.h). Monotone totals such as
+// cache hits are counters (obs/counters.h), not board slots.
 //
 // Design rules, mirroring obs/counters.h:
 //  * publishing is a relaxed atomic store behind one relaxed enabled-load —
@@ -32,8 +32,6 @@ enum class BoardSlot : int {
   kMemoStates,      // decider memo occupancy (positive + negative entries)
   kInternerSets,    // canonical sets interned so far
   kGuardFamily,     // guard family size (grows during closure generation)
-  kCacheHits,       // decomposition-cache lookups served from memory
-  kCacheMisses,     // decomposition-cache lookups that fell through to solves
   kIncrVersion,     // incremental solver: hypergraph version (deltas applied)
   kIncrRetained,    // incremental solver: memo entries kept by the last rebind
   kSlotCount,       // sentinel
@@ -90,8 +88,8 @@ struct BoardSnapshot {
   long slot(BoardSlot s) const { return slots[static_cast<int>(s)]; }
 };
 
-/// Wait-free; callable from any thread (the heartbeat thread calls it every
-/// beat).
+/// Wait-free; callable from any thread (the sampler thread calls it every
+/// heartbeat frame).
 BoardSnapshot SnapshotBoard();
 
 }  // namespace obs

@@ -1,9 +1,11 @@
-// Live-introspection tests: metrics-sampler delta correctness against a
-// deterministic counter script, bounded-ring honesty, progress-board
-// publish/snapshot/reset semantics, heartbeat stream contract on a real
-// deadline-truncated anytime run (and under fault injection), attribution
-// tree accounting, and a concurrent publish/sample sweep that the TSan CI
-// job runs to prove the whole surface is race-free.
+// Live-introspection tests: sampler delta correctness against a
+// deterministic counter script, bounded-ring honesty, one frame serving both
+// the heartbeat line and the ring, the one-final-line rule on the budget-stop
+// and Stop() paths, progress-board publish/snapshot/reset semantics, the
+// heartbeat stream contract on a real deadline-truncated anytime run (and
+// under fault injection), attribution tree accounting, and a concurrent
+// publish/sample sweep that the TSan CI job runs to prove the whole surface
+// is race-free.
 #include "gtest/gtest.h"
 #include "obs/obs.h"
 
@@ -11,6 +13,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -19,8 +22,7 @@
 #include "core/anytime.h"
 #include "gen/generators.h"
 #include "hypergraph/hg_io.h"
-#include "obs/heartbeat.h"
-#include "obs/metrics_sampler.h"
+#include "obs/sampler.h"
 #include "util/resource_governor.h"
 
 namespace ghd {
@@ -57,9 +59,28 @@ std::vector<std::string> SplitLines(const std::string& text) {
   return lines;
 }
 
+// The integer value of `"key":` in one heartbeat line; -2 when absent.
+long IntField(const std::string& line, const std::string& key) {
+  const size_t at = line.find("\"" + key + "\":");
+  if (at == std::string::npos) return -2;
+  return std::strtol(line.c_str() + at + key.size() + 3, nullptr, 10);
+}
+
+size_t CountFinalLines(const std::vector<std::string>& lines) {
+  size_t finals = 0;
+  for (const std::string& line : lines) {
+    if (line.find("\"final\":true}") != std::string::npos) ++finals;
+  }
+  return finals;
+}
+
+// A cadence no test outlives: frames come only from Start, SampleNow and
+// Stop, so each test scripts them exactly.
+constexpr int kNoThreadFrames = 600000;
+
 TEST_F(IntrospectionTest, SamplerDeltasFollowTheCounterScript) {
-  obs::MetricsSampler sampler;  // never Start()ed: SampleNow drives it
-  sampler.SampleNow();          // frame 0: baseline (all deltas zero)
+  obs::Sampler sampler;  // never Start()ed: SampleNow drives it
+  sampler.SampleNow();   // frame 0: baseline (all deltas zero)
   GHD_COUNT_N(kDeciderMemoInserts, 7);
   GHD_COUNT_N(kKernelBatches, 3);
   GHD_GAUGE_MAX(kMaxGuardFamily, 41);
@@ -69,6 +90,7 @@ TEST_F(IntrospectionTest, SamplerDeltasFollowTheCounterScript) {
 
   const std::vector<obs::MetricsSample> samples = sampler.Samples();
   ASSERT_EQ(samples.size(), 3u);
+  EXPECT_EQ(sampler.lines_emitted(), 0u);  // no heartbeat_out, no lines
   EXPECT_EQ(samples[0].delta(obs::Counter::kDeciderMemoInserts), 0);
   EXPECT_EQ(samples[1].delta(obs::Counter::kDeciderMemoInserts), 7);
   EXPECT_EQ(samples[1].delta(obs::Counter::kKernelBatches), 3);
@@ -89,16 +111,15 @@ TEST_F(IntrospectionTest, SamplerDeltasFollowTheCounterScript) {
 }
 
 TEST_F(IntrospectionTest, SamplerRingIsBoundedAndCountsDrops) {
-  obs::MetricsSampler::Options options;
-  options.ring_capacity = 4;
-  obs::MetricsSampler sampler(options);
-  for (int i = 0; i < 10; ++i) {
+  constexpr size_t kCapacity = obs::Sampler::kRingCapacity;
+  obs::Sampler sampler;
+  for (size_t i = 0; i < kCapacity + 6; ++i) {
     GHD_COUNT(kBnbNodes);
     sampler.SampleNow();
   }
   const std::vector<obs::MetricsSample> samples = sampler.Samples();
-  ASSERT_EQ(samples.size(), 4u);
-  EXPECT_EQ(sampler.samples_taken(), 10u);
+  ASSERT_EQ(samples.size(), kCapacity);
+  EXPECT_EQ(sampler.samples_taken(), kCapacity + 6);
   EXPECT_EQ(sampler.samples_dropped(), 6u);
   // Oldest-first order survives the wraparound: each retained frame carries
   // exactly the one increment between consecutive samples, and timestamps
@@ -113,6 +134,84 @@ TEST_F(IntrospectionTest, SamplerRingIsBoundedAndCountsDrops) {
   EXPECT_NE(json.find("\"type\":\"metrics\""), std::string::npos);
   EXPECT_NE(json.find("\"samples_dropped\":6"), std::string::npos);
   EXPECT_NE(json.find("\"bnb_nodes\":1"), std::string::npos);
+}
+
+// One snapshot per frame serves both surfaces: the ticks step between
+// consecutive heartbeat lines is exactly the governor_ticks delta of the
+// matching ring frame.
+TEST_F(IntrospectionTest, OneFrameServesHeartbeatLineAndRing) {
+  Budget budget;
+  std::ostringstream out;
+  obs::Sampler::Options options;
+  options.interval_ms = kNoThreadFrames;
+  options.heartbeat_out = &out;
+  options.budget = &budget;
+  obs::Sampler sampler(options);
+  sampler.Start();
+  for (int i = 1; i <= 5; ++i) {
+    for (int t = 0; t < 7 * i; ++t) budget.Tick();
+    sampler.SampleNow();
+  }
+  for (int t = 0; t < 3; ++t) budget.Tick();
+  sampler.Stop();
+
+  const std::vector<std::string> lines = SplitLines(out.str());
+  const std::vector<obs::MetricsSample> frames = sampler.Samples();
+  ASSERT_EQ(lines.size(), 7u);  // seq-0, five SampleNow, closing
+  ASSERT_EQ(frames.size(), lines.size());
+  EXPECT_EQ(sampler.lines_emitted(), lines.size());
+  for (size_t i = 1; i < lines.size(); ++i) {
+    const long step =
+        IntField(lines[i], "ticks") - IntField(lines[i - 1], "ticks");
+    EXPECT_EQ(step, frames[i].delta(obs::Counter::kGovernorTicks)) << i;
+    EXPECT_EQ(step, i < 6 ? 7 * static_cast<long>(i) : 3) << i;
+  }
+  EXPECT_EQ(CountFinalLines(lines), 1u);
+  EXPECT_NE(lines.back().find("\"stop_reason\":\"none\",\"final\":true}"),
+            std::string::npos)
+      << lines.back();
+}
+
+// The first frame that sees a stopped budget writes the one final line;
+// later frames, Stop()'s closing frame included, feed only the ring.
+TEST_F(IntrospectionTest, BudgetStopFrameWritesTheOnlyFinalLine) {
+  Budget budget;
+  std::ostringstream out;
+  obs::Sampler::Options options;
+  options.interval_ms = kNoThreadFrames;
+  options.heartbeat_out = &out;
+  options.budget = &budget;
+  obs::Sampler sampler(options);
+  sampler.Start();
+  sampler.SampleNow();
+  budget.Cancel();
+  sampler.SampleNow();  // sees the stop: final line
+  sampler.SampleNow();
+  sampler.Stop();
+
+  const std::vector<std::string> lines = SplitLines(out.str());
+  ASSERT_EQ(lines.size(), 3u);
+  EXPECT_EQ(CountFinalLines(lines), 1u);
+  EXPECT_NE(
+      lines.back().find("\"stop_reason\":\"cancelled\",\"final\":true}"),
+      std::string::npos)
+      << lines.back();
+  EXPECT_EQ(sampler.samples_taken(), 5u);  // the ring keeps the tail
+}
+
+TEST_F(IntrospectionTest, StopWithoutStartWritesNothing) {
+  std::ostringstream out;
+  Budget budget;
+  obs::Sampler::Options options;
+  options.heartbeat_out = &out;
+  options.budget = &budget;
+  {
+    obs::Sampler sampler(options);
+    sampler.Stop();
+    EXPECT_EQ(sampler.lines_emitted(), 0u);
+    EXPECT_EQ(sampler.samples_taken(), 0u);
+  }  // nor does the destructor
+  EXPECT_TRUE(out.str().empty());
 }
 
 TEST_F(IntrospectionTest, BoardPublishesSnapshotsAndResets) {
@@ -155,17 +254,17 @@ TEST_F(IntrospectionTest, HeartbeatStreamsSchemaLinesOnDeadlineRun) {
 
   Budget budget(/*deadline_seconds=*/0.1);
   std::ostringstream out;
-  obs::Heartbeat::Options options;
+  obs::Sampler::Options options;
   options.interval_ms = 20;
-  options.out = &out;
+  options.heartbeat_out = &out;
   options.budget = &budget;
-  obs::Heartbeat heartbeat(options);
-  heartbeat.Start();
+  obs::Sampler sampler(options);
+  sampler.Start();
 
   AnytimeOptions anytime;
   anytime.budget = &budget;
   const AnytimeGhwResult r = AnytimeGhw(h.value(), anytime);
-  heartbeat.Stop();
+  sampler.Stop();
 
   // grid7x7 is deliberately too hard for 100ms: the run must truncate.
   EXPECT_TRUE(budget.Stopped());
@@ -174,7 +273,8 @@ TEST_F(IntrospectionTest, HeartbeatStreamsSchemaLinesOnDeadlineRun) {
 
   const std::vector<std::string> lines = SplitLines(out.str());
   ASSERT_GE(lines.size(), 3u);
-  EXPECT_EQ(lines.size(), heartbeat.lines_emitted());
+  EXPECT_EQ(lines.size(), sampler.lines_emitted());
+  EXPECT_EQ(CountFinalLines(lines), 1u);
   for (size_t i = 0; i < lines.size(); ++i) {
     const std::string& line = lines[i];
     // Stable schema prefix with sequential seq numbers.
@@ -186,7 +286,7 @@ TEST_F(IntrospectionTest, HeartbeatStreamsSchemaLinesOnDeadlineRun) {
     for (const char* key :
          {"\"phase\":", "\"rung\":", "\"lb\":", "\"ub\":", "\"k\":",
           "\"frontier_depth\":", "\"memo_states\":", "\"interner_sets\":",
-          "\"ticks\":", "\"ticks_per_sec\":", "\"memo_inserts_per_sec\":",
+          "\"cache_hits\":", "\"cache_misses\":", "\"ticks\":", "\"ticks_per_sec\":", "\"memo_inserts_per_sec\":",
           "\"kernel_batches_per_sec\":", "\"resident_kb\":",
           "\"bytes_charged\":", "\"deadline_fraction\":", "\"tick_fraction\":",
           "\"memory_fraction\":", "\"stop_reason\":", "\"final\":"}) {
@@ -216,22 +316,23 @@ TEST_F(IntrospectionTest, HeartbeatFinalLineSurvivesInjectedFault) {
   Budget budget;
   budget.InjectFailureAfter(5);
   std::ostringstream out;
-  obs::Heartbeat::Options options;
+  obs::Sampler::Options options;
   options.interval_ms = 50;
-  options.out = &out;
+  options.heartbeat_out = &out;
   options.budget = &budget;
-  obs::Heartbeat heartbeat(options);
-  heartbeat.Start();
+  obs::Sampler sampler(options);
+  sampler.Start();
 
   AnytimeOptions anytime;
   anytime.budget = &budget;
   AnytimeGhw(Grid2dHypergraph(3, 3), anytime);
-  heartbeat.Stop();
+  sampler.Stop();
 
   EXPECT_TRUE(budget.Stopped());
   const std::vector<std::string> lines = SplitLines(out.str());
   // Even a run shorter than one interval opens and closes the stream.
   ASSERT_GE(lines.size(), 2u);
+  EXPECT_EQ(CountFinalLines(lines), 1u);
   EXPECT_NE(lines.back().find("\"final\":true}"), std::string::npos);
   EXPECT_NE(lines.back().find("\"stop_reason\":\"fault-injected\""),
             std::string::npos)
@@ -298,24 +399,20 @@ TEST_F(IntrospectionTest, AttributionTreeAccountsItsChildren) {
 }
 
 // The TSan job runs this: writers hammer counters and board slots while the
-// sampler thread, a heartbeat thread, and a snapshot reader all pull
-// concurrently. Correctness here is "no data races and no lost counts".
+// sampler thread (ring frames plus heartbeat lines) and a snapshot reader
+// both pull concurrently. Correctness here is "no data races and no lost
+// counts".
 TEST_F(IntrospectionTest, ConcurrentPublishAndSampleSweep) {
   constexpr int kWriters = 4;
   constexpr int kIterations = 20000;
 
   obs::EnableBoard(true);
-  obs::MetricsSampler::Options sampler_options;
-  sampler_options.interval_ms = 1;
-  obs::MetricsSampler sampler(sampler_options);
-  sampler.Start();
-
   std::ostringstream hb_out;
-  obs::Heartbeat::Options hb_options;
-  hb_options.interval_ms = 1;
-  hb_options.out = &hb_out;
-  obs::Heartbeat heartbeat(hb_options);
-  heartbeat.Start();
+  obs::Sampler::Options options;
+  options.interval_ms = 1;
+  options.heartbeat_out = &hb_out;
+  obs::Sampler sampler(options);
+  sampler.Start();
 
   std::atomic<int> done{0};
   std::vector<std::thread> writers;
@@ -337,14 +434,13 @@ TEST_F(IntrospectionTest, ConcurrentPublishAndSampleSweep) {
     obs::SnapshotCounters();
   }
   for (std::thread& t : writers) t.join();
-  heartbeat.Stop();
   sampler.Stop();
 
   // No lost counts: the final snapshot sums every writer's work.
   EXPECT_EQ(obs::SnapshotCounters().counter(obs::Counter::kBnbNodes),
             static_cast<long>(kWriters) * kIterations);
-  EXPECT_GE(sampler.samples_taken(), 1u);
-  EXPECT_GE(heartbeat.lines_emitted(), 2u);
+  EXPECT_GE(sampler.samples_taken(), 2u);
+  EXPECT_EQ(sampler.lines_emitted(), sampler.samples_taken());
   const obs::BoardSnapshot final_snap = obs::SnapshotBoard();
   EXPECT_EQ(final_snap.slot(obs::BoardSlot::kFrontierDepth), kIterations - 1);
 }

@@ -68,11 +68,11 @@
 //                    milliseconds (phase, rung, certified [lb,ub], frontier
 //                    depth, memo/interner occupancy, rates, budget
 //                    fractions); the final line carries the stop_reason.
-//                    GHD_HEARTBEAT_MS in the environment sets a default.
 //                    Pipe into tools/obs_top.py for a live dashboard.
-//   --metrics-out=F  write the background sampler's ring of timestamped
-//                    counter deltas (rate-of-change time-series) as JSON
-//   --metrics-interval-ms=N  sampler cadence (default 100)
+//   --metrics-out=F  write the sampler's ring of timestamped counter deltas
+//                    (rate-of-change time-series) as JSON. One sampler
+//                    thread serves both flags, every --heartbeat-ms
+//                    milliseconds when given and every 100 otherwise.
 //   --verbose        echo the full resolved configuration to stderr
 //
 // The observability flags need a build with GHD_OBS=ON (the default); a
@@ -118,9 +118,8 @@
 #include "util/thread_pool.h"
 
 #if GHD_OBS_ENABLED
-#include "obs/heartbeat.h"
-#include "obs/metrics_sampler.h"
 #include "obs/run_report.h"
+#include "obs/sampler.h"
 #endif
 
 #include <optional>
@@ -147,8 +146,7 @@ int Usage() {
          "[--timeout-ms N] [--memory-mb N] [--seed N] [--no-simd]\n"
          "               "
          "[--counters] [--trace-out=FILE] [--report-out=FILE] [--verbose]\n"
-         "               [--heartbeat-ms N] [--metrics-out=FILE] "
-         "[--metrics-interval-ms N]\n"
+         "               [--heartbeat-ms N] [--metrics-out=FILE]\n"
          "       ghd_cli <decide-many|anytime-many> <manifest> [k]\n"
          "               [--cache-file=FILE] [--cache-mb N] [--no-cache] "
          "[--out=FILE] [--threads N]\n"
@@ -482,7 +480,6 @@ int main(int argc, char** argv) {
   long memory_mb = 0;
   long seed = 1;
   long heartbeat_ms = 0;
-  long metrics_interval_ms = 100;
   long cache_mb = 64;
   bool want_counters = false;
   bool verbose = false;
@@ -492,12 +489,6 @@ int main(int argc, char** argv) {
   std::string metrics_out;
   std::string cache_file;
   std::string out_file;
-  // GHD_HEARTBEAT_MS seeds the default so wrappers can turn heartbeats on
-  // without touching the command line; the flag still overrides.
-  if (const char* env = std::getenv("GHD_HEARTBEAT_MS")) {
-    const long v = std::atol(env);
-    if (v > 0) heartbeat_ms = v;
-  }
   std::vector<std::string> args;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -535,10 +526,9 @@ int main(int argc, char** argv) {
                long_flag("--memory-mb", &memory_mb) ||
                long_flag("--seed", &seed) ||
                long_flag("--heartbeat-ms", &heartbeat_ms) ||
-               long_flag("--metrics-interval-ms", &metrics_interval_ms) ||
                long_flag("--cache-mb", &cache_mb)) {
       if (timeout_ms < 0 || memory_mb < 0 || heartbeat_ms < 0 ||
-          metrics_interval_ms < 1 || cache_mb < 1) {
+          cache_mb < 1) {
         return Usage();
       }
     } else if (string_flag("--trace-out", &trace_out) ||
@@ -572,7 +562,7 @@ int main(int argc, char** argv) {
   }
 
 #if GHD_OBS_ENABLED
-  // Heartbeat rates, sampler deltas, and attribution deltas all derive from
+  // Heartbeat lines, sampler deltas, and attribution deltas all derive from
   // the counter snapshots, so any live surface arms the counters too.
   if (want_counters || !report_out.empty() || heartbeat_ms > 0 ||
       !metrics_out.empty()) {
@@ -632,23 +622,19 @@ int main(int argc, char** argv) {
   std::signal(SIGINT, HandleSigint);
 
 #if GHD_OBS_ENABLED
-  // Live surfaces start before the dispatch so even instant runs emit a
-  // seq-0 heartbeat, and stop right after it so the final heartbeat line and
-  // the sampler's last frame reflect the finished (or truncated) run.
-  std::optional<obs::MetricsSampler> sampler;
-  if (!metrics_out.empty()) {
-    obs::MetricsSampler::Options sampler_options;
-    sampler_options.interval_ms = static_cast<int>(metrics_interval_ms);
+  // The sampler starts before the dispatch so even instant runs emit a seq-0
+  // heartbeat, and stops right after it so the final heartbeat line and the
+  // closing ring frame reflect the finished (or truncated) run.
+  std::optional<obs::Sampler> sampler;
+  if (heartbeat_ms > 0 || !metrics_out.empty()) {
+    obs::Sampler::Options sampler_options;
+    if (heartbeat_ms > 0) {
+      sampler_options.interval_ms = static_cast<int>(heartbeat_ms);
+      sampler_options.heartbeat_out = &std::cerr;
+    }
+    sampler_options.budget = &governor;
     sampler.emplace(sampler_options);
     sampler->Start();
-  }
-  std::optional<obs::Heartbeat> heartbeat;
-  if (heartbeat_ms > 0) {
-    obs::Heartbeat::Options heartbeat_options;
-    heartbeat_options.interval_ms = static_cast<int>(heartbeat_ms);
-    heartbeat_options.budget = &governor;
-    heartbeat.emplace(heartbeat_options);
-    heartbeat->Start();
   }
 #endif
 
@@ -861,12 +847,12 @@ int main(int argc, char** argv) {
   }
 
 #if GHD_OBS_ENABLED
-  // Flush the live surfaces first: Stop() emits the stop_reason-bearing
-  // final heartbeat line (the exit-3 honesty contract) and takes the
-  // sampler's last frame before any report is assembled.
-  if (heartbeat.has_value()) heartbeat->Stop();
-  if (sampler.has_value()) {
-    sampler->Stop();
+  // Flush the sampler first: Stop() takes the closing frame, which carries the
+  // stop_reason-bearing final heartbeat line (the exit-3 honesty contract)
+  // unless a budget-stop frame already wrote it, before any report is
+  // assembled.
+  if (sampler.has_value()) sampler->Stop();
+  if (!metrics_out.empty()) {
     std::ofstream out(metrics_out);
     if (!out) {
       std::cerr << "error: cannot write metrics to " << metrics_out << "\n";

@@ -166,8 +166,8 @@ def check_report_attribution(report, min_coverage, errors):
 
 HEARTBEAT_INT_KEYS = (
     "seq", "lb", "ub", "k", "frontier_depth", "memo_states", "interner_sets",
-    "guard_family", "incr_version", "incr_retained", "ticks",
-    "resident_kb", "bytes_charged",
+    "guard_family", "incr_version", "incr_retained", "cache_hits",
+    "cache_misses", "ticks", "resident_kb", "bytes_charged",
 )
 HEARTBEAT_NUMBER_KEYS = (
     "at_seconds", "ticks_per_sec", "memo_inserts_per_sec",
