@@ -24,8 +24,8 @@ int main(int argc, char** argv) {
   obs::EnableCounters(true);
 #endif
   std::cout << "E11: anytime interval quality vs tick budget\n"
-            << "    (ladder: lower bounds -> greedy covers -> subset DP -> "
-               "exact B&B -> det-k-decomp)\n\n";
+            << "    (ladder: lower bounds -> greedy covers -> multi-restart "
+               "-> exact B&B -> det-k-decomp)\n\n";
 
   Table table({"instance", "budget", "lb", "ub", "gap", "ms", "stop"});
   std::vector<bench::BenchRecord> records;

@@ -5,7 +5,6 @@
 #include <optional>
 #include <utility>
 
-#include "core/ghw_dp.h"
 #include "core/ghw_exact.h"
 #include "core/ghw_lower.h"
 #include "core/ghw_upper.h"
@@ -15,6 +14,9 @@
 
 namespace ghd {
 namespace {
+
+// Restarts of the randomized multi-restart rung (exact per-bag covers).
+constexpr int kHeuristicRestarts = 8;
 
 // Appends a trail entry capturing the interval after `engine` ran. The trail
 // invariant (nested intervals) holds because callers only ever tighten
@@ -98,12 +100,12 @@ AnytimeGhwResult AnytimeGhw(const Hypergraph& h, const AnytimeOptions& options) 
   }
 
   // Rung 3 (tick-free): randomized multi-restart with exact per-bag covers.
-  if (options.heuristic_restarts > 0) {
+  {
     GHD_SPAN_VAR(span, "anytime", "rung:multi-restart");
     GHD_BOARD_RUNG("multi-restart");
     GHD_ATTR_SCOPE(rung_attr, "multi-restart");
     GhwUpperBoundResult multi = GhwUpperBoundMultiRestart(
-        h, options.heuristic_restarts, options.seed, CoverMode::kExact);
+        h, kHeuristicRestarts, options.seed, CoverMode::kExact);
     Improve(&result, h, std::move(multi.ghd), multi.width);
     Record(&result, "multi-restart", *root);
     span.SetArg("ub", result.upper_bound);
@@ -117,27 +119,7 @@ AnytimeGhwResult AnytimeGhw(const Hypergraph& h, const AnytimeOptions& options) 
     return result;
   }
 
-  // Rung 4: subset DP — an independent exact engine for small instances. It
-  // yields the exact width but no witness; the B&B below (seeded with
-  // stop_at_width) recovers one quickly. A truncated DP returns nullopt and
-  // contributes nothing.
-  std::optional<int> dp_width;
-  if (options.use_subset_dp && h.num_vertices() <= kMaxGhwDpVertices &&
-      !root->Stopped()) {
-    GHD_SPAN_VAR(span, "anytime", "rung:subset-dp");
-    GHD_BOARD_RUNG("subset-dp");
-    GHD_ATTR_SCOPE(rung_attr, "subset-dp");
-    dp_width = GhwBySubsetDp(h, root);
-    if (dp_width.has_value()) {
-      span.SetArg("width", *dp_width);
-      GHD_CHECK(*dp_width >= result.lower_bound);
-      GHD_CHECK(*dp_width <= result.upper_bound);
-      result.lower_bound = *dp_width;
-      Record(&result, "subset-dp", *root);
-    }
-  }
-
-  // Rung 5: exact branch-and-bound. Under a finite deadline it gets a slice
+  // Rung 4: exact branch-and-bound. Under a finite deadline it gets a slice
   // of the remaining time (chained to the root so cancellation and global
   // tick limits still bite), leaving headroom for the det-k fallback; under
   // pure tick/memory limits the root governor is shared directly.
@@ -156,7 +138,6 @@ AnytimeGhwResult AnytimeGhw(const Hypergraph& h, const AnytimeOptions& options) 
     }
     exact_options.heuristic_restarts = 0;  // rung 3 already did this
     exact_options.seed = options.seed;
-    if (dp_width.has_value()) exact_options.stop_at_width = *dp_width;
     ExactGhwResult exact = ExactGhwComponentwise(h, exact_options);
     result.lower_bound = std::max(result.lower_bound, exact.lower_bound);
     Improve(&result, h, std::move(exact.best_ghd), exact.upper_bound);
@@ -166,12 +147,11 @@ AnytimeGhwResult AnytimeGhw(const Hypergraph& h, const AnytimeOptions& options) 
     span.SetArg("ub", result.upper_bound);
   }
 
-  // Rung 6: det-k-decomp fallback. Hypertree width is polynomial per k and
+  // Rung 5: det-k-decomp fallback. Hypertree width is polynomial per k and
   // the paper's inequality ghw <= hw <= 3*ghw + 1 converts it into bounds on
   // both sides: hw itself is an upper bound (every HD is a GHD), and
   // hw > k implies ghw >= ceil(k/3).
-  if (options.use_det_k_decomp && result.lower_bound < result.upper_bound &&
-      !root->Stopped()) {
+  if (result.lower_bound < result.upper_bound && !root->Stopped()) {
     GHD_SPAN_VAR(span, "anytime", "rung:det-k-decomp");
     GHD_BOARD_RUNG("det-k-decomp");
     GHD_ATTR_SCOPE(rung_attr, "det-k-decomp");

@@ -25,7 +25,7 @@
 
 namespace ghd {
 
-/// Deadline and ladder switches for the anytime driver.
+/// Budget and seed for the anytime driver.
 struct AnytimeOptions {
   /// Total wall-clock deadline in seconds; <= 0 means unlimited. Ignored when
   /// `budget` is set.
@@ -43,15 +43,8 @@ struct AnytimeOptions {
   /// Ignored (every engine is sequential); removed together with the
   /// repository benchmark's `num_threads = 1` assignments.
   int num_threads = 1;
-  /// Restarts for the randomized upper-bound heuristic.
-  int heuristic_restarts = 8;
+  /// Seed of the randomized multi-restart rung.
   uint64_t seed = 1;
-  /// Run the 2^n subset DP when the instance is small enough. It is an
-  /// independent exact engine, so it doubles as a cross-check on the B&B.
-  bool use_subset_dp = true;
-  /// Fall back to det-k-decomp (hypertree width) to tighten the interval via
-  /// ghw <= hw <= 3*ghw + 1 when the exact engine was truncated.
-  bool use_det_k_decomp = true;
 };
 
 /// One rung of the ladder: which engine ran and the certified interval after

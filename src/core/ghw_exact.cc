@@ -25,7 +25,9 @@ namespace {
 struct Shared {
   const Hypergraph* h;
   VertexSet covered;  // Vertices that occur in some hyperedge.
-  ExactGhwOptions options;
+  // Stop as soon as the incumbent width is <= this value (0 = disabled);
+  // set only by the decision procedure GhwAtMost.
+  int stop_at_width = 0;
   Budget* budget = nullptr;
 
   long nodes = 0;
@@ -78,7 +80,7 @@ struct Shared {
   bool Stopped() const { return budget->Stopped(); }
 
   bool ShouldStop() {
-    if (options.stop_at_width > 0 && ub <= options.stop_at_width) {
+    if (stop_at_width > 0 && ub <= stop_at_width) {
       hit_stop_width = true;
       return true;
     }
@@ -166,21 +168,19 @@ struct Search {
 
     // Simplicial reduction: eliminating a simplicial vertex first never
     // increases the best achievable cover-width of the subtree.
-    if (s->options.use_simplicial_reduction) {
-      for (int v = 0; v < g.num_vertices(); ++v) {
-        if (!alive[v] || !g.IsSimplicial(v)) continue;
-        VertexSet bag = g.Neighbors(v);
-        bag.Set(v);
-        bag &= s->covered;
-        const int cost = s->ExactCoverSize(bag);
-        const int next_width = std::max(width_so_far, cost);
-        if (next_width >= s->ub) return;
-        Graph next = g;
-        EliminateInto(&next, v);
-        Recurse(next, next_width, depth);  // No branching: same depth.
-        UndoEliminate(v);
-        return;
-      }
+    for (int v = 0; v < g.num_vertices(); ++v) {
+      if (!alive[v] || !g.IsSimplicial(v)) continue;
+      VertexSet bag = g.Neighbors(v);
+      bag.Set(v);
+      bag &= s->covered;
+      const int cost = s->ExactCoverSize(bag);
+      const int next_width = std::max(width_so_far, cost);
+      if (next_width >= s->ub) return;
+      Graph next = g;
+      EliminateInto(&next, v);
+      Recurse(next, next_width, depth);  // No branching: same depth.
+      UndoEliminate(v);
+      return;
     }
 
     // Branch over alive vertices, cheapest bag cover first.
@@ -210,7 +210,7 @@ struct Search {
 };
 
 ExactGhwResult ExactGhwImpl(const Hypergraph& h, const ExactGhwOptions& options,
-                            Budget* budget) {
+                            Budget* budget, int stop_at_width = 0) {
   ExactGhwResult result;
   if (h.num_edges() == 0 || h.num_vertices() == 0) {
     result.exact = true;
@@ -220,7 +220,7 @@ ExactGhwResult ExactGhwImpl(const Hypergraph& h, const ExactGhwOptions& options,
   Shared shared;
   shared.h = &h;
   shared.covered = h.CoveredVertices();
-  shared.options = options;
+  shared.stop_at_width = stop_at_width;
   shared.budget = budget;
   const Graph primal = h.PrimalGraph();
 
@@ -232,7 +232,7 @@ ExactGhwResult ExactGhwImpl(const Hypergraph& h, const ExactGhwOptions& options,
 
   const int root_lb = GhwLowerBound(h);
   if (root_lb >= warm.width ||
-      (options.stop_at_width > 0 && warm.width <= options.stop_at_width)) {
+      (stop_at_width > 0 && warm.width <= stop_at_width)) {
     result.lower_bound = root_lb;
     result.upper_bound = warm.width;
     result.exact = root_lb >= warm.width;
@@ -349,9 +349,9 @@ ExactGhwResult ExactGhwComponentwise(const Hypergraph& h,
 std::optional<bool> GhwAtMost(const Hypergraph& h, int k,
                               const ExactGhwOptions& options) {
   GHD_CHECK(k >= 0);
-  ExactGhwOptions opts = options;
-  opts.stop_at_width = k;
-  ExactGhwResult r = ExactGhw(h, opts);
+  Budget local_budget(options.time_limit_seconds, options.node_budget);
+  Budget* budget = options.budget != nullptr ? options.budget : &local_budget;
+  ExactGhwResult r = ExactGhwImpl(h, options, budget, k);
   if (r.upper_bound <= k) return true;
   if (r.exact) return false;
   if (r.lower_bound > k) return false;

@@ -17,7 +17,9 @@
 
 namespace ghd {
 
-/// Budgets and switches for the exact GHW search.
+/// Budgets and seed for the exact GHW search. Simplicial vertices of the
+/// primal graph are always eliminated eagerly (optimality preserving for GHW
+/// as for treewidth).
 struct ExactGhwOptions {
   /// Wall-clock limit in seconds; <= 0 means unlimited. Ignored when
   /// `budget` is set.
@@ -29,22 +31,15 @@ struct ExactGhwOptions {
   /// solving shares one governor across all components, so the deadline and
   /// node budget are global — not per component.
   Budget* budget = nullptr;
-  /// Eliminate simplicial vertices of the primal graph eagerly (optimality
-  /// preserving for GHW as for treewidth).
-  bool use_simplicial_reduction = true;
   /// Randomized heuristic restarts for the initial incumbent.
   int heuristic_restarts = 4;
   uint64_t seed = 1;
-  /// Stop as soon as the incumbent width is <= this value (0 = disabled);
-  /// used by the decision procedure.
-  int stop_at_width = 0;
 };
 
 /// Search outcome; `exact` means the ordering space was exhausted, in which
 /// case lower_bound == upper_bound == ghw(H). `best_ghd` witnesses the upper
 /// bound and always validates. `outcome` reports why a non-exact search
-/// stopped; its stop_reason is kNone when the search ended early because the
-/// incumbent reached `stop_at_width` (an answer, not a resource failure).
+/// stopped.
 struct ExactGhwResult {
   int lower_bound = 0;
   int upper_bound = 0;

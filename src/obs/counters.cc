@@ -27,7 +27,6 @@ const char* const kCounterNames[kNumCounters] = {
     "detk_iterations",
     "cover_cache_hits",
     "cover_cache_misses",
-    "dp_cells",
     "subedges_generated",
     "guards_dominated",
     "closure_interner_hits",

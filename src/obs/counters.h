@@ -41,11 +41,9 @@ enum class Counter : int {
   kDeciderLambdaTried,  // complete guard choices evaluated
   kDeciderUnprovenFalse,// negative results discarded because of truncation
   kDetKIterations,      // k values tried by the hw(H) iteration
-  // Exact-cover memo shared by the GHW engines (ghw_exact, ghw_dp).
+  // Exact-cover memo of the GHW branch and bound (core/ghw_exact).
   kCoverCacheHits,
   kCoverCacheMisses,
-  // Subset DP (core/ghw_dp).
-  kDpCells,             // DP cells solved
   // Subedge closures (core/bip, core/tree_projection).
   kSubedgesGenerated,   // proper subedges emitted by a closure construction
   kGuardsDominated,     // guards dropped by dominance pruning (g strictly

@@ -12,7 +12,6 @@ namespace ghd {
 namespace {
 
 struct Search {
-  ExactTreewidthOptions options;
   Budget* budget = nullptr;
   long nodes = 0;
 
@@ -50,27 +49,24 @@ struct Search {
     // Reductions: a simplicial vertex (or an almost simplicial vertex whose
     // degree is at most a treewidth lower bound of the current graph) can be
     // eliminated next without loss of optimality.
-    if (options.use_reductions) {
-      for (int v = 0; v < g.num_vertices(); ++v) {
-        if (!alive[v]) continue;
-        const int d = g.Degree(v);
-        const bool reducible =
-            g.IsSimplicial(v) ||
-            (d <= h && g.IsAlmostSimplicial(v));
-        if (reducible) {
-          GHD_COUNT(kTwReductions);
-          if (std::max(width_so_far, d) >= ub) return;
-          Graph next = g;
-          next.EliminateVertex(v);
-          prefix.push_back(v);
-          alive[v] = 0;
-          --alive_count;
-          Recurse(next, std::max(width_so_far, d));
-          ++alive_count;
-          alive[v] = 1;
-          prefix.pop_back();
-          return;
-        }
+    for (int v = 0; v < g.num_vertices(); ++v) {
+      if (!alive[v]) continue;
+      const int d = g.Degree(v);
+      const bool reducible =
+          g.IsSimplicial(v) || (d <= h && g.IsAlmostSimplicial(v));
+      if (reducible) {
+        GHD_COUNT(kTwReductions);
+        if (std::max(width_so_far, d) >= ub) return;
+        Graph next = g;
+        next.EliminateVertex(v);
+        prefix.push_back(v);
+        alive[v] = 0;
+        --alive_count;
+        Recurse(next, std::max(width_so_far, d));
+        ++alive_count;
+        alive[v] = 1;
+        prefix.pop_back();
+        return;
       }
     }
 
@@ -119,7 +115,6 @@ ExactTreewidthResult ExactTreewidth(const Graph& g,
   Budget* budget = options.budget != nullptr ? options.budget : &local_budget;
 
   Search search;
-  search.options = options;
   search.budget = budget;
   search.alive.assign(n, 1);
   search.alive_count = n;

@@ -12,7 +12,8 @@
 
 namespace ghd {
 
-/// Budget and feature switches for the exact search.
+/// Budget for the exact search. Simplicial and strongly almost simplicial
+/// vertices are always eliminated eagerly.
 struct ExactTreewidthOptions {
   /// Wall-clock limit in seconds; <= 0 means unlimited. Ignored when
   /// `budget` is set.
@@ -22,8 +23,6 @@ struct ExactTreewidthOptions {
   /// Shared resource governor; when null a private budget is built from the
   /// two fields above. Ticked once per search node.
   Budget* budget = nullptr;
-  /// Eliminate simplicial / strongly almost simplicial vertices eagerly.
-  bool use_reductions = true;
 };
 
 /// Outcome of the search. `upper_bound` always comes with a witnessing

@@ -1,14 +1,16 @@
-// Cross-checks of the subset-DP exact engines against the branch-and-bound
-// engines: three independent algorithms must agree on every instance.
-#include "core/ghw_dp.h"
+// Cross-checks of the library's branch-and-bound engines against the
+// test-only subset-DP oracles (tests/oracles). The B&B engines always apply
+// their simplicial / almost-simplicial reductions, so agreement with the DP,
+// which applies none, is also what checks that the reductions are sound.
 #include "core/ghw_exact.h"
 #include "gen/circuits.h"
 #include "gen/generators.h"
 #include "gen/random_hypergraphs.h"
 #include "gtest/gtest.h"
 #include "hypergraph/hypergraph_builder.h"
+#include "oracles/ghw_dp.h"
+#include "oracles/treewidth_dp.h"
 #include "td/exact_treewidth.h"
-#include "td/treewidth_dp.h"
 
 namespace ghd {
 namespace {
@@ -43,14 +45,24 @@ TEST(TreewidthDpTest, RefusesOversizedGraphs) {
   EXPECT_FALSE(TreewidthBySubsetDp(Graph(kMaxDpVertices + 1)).has_value());
 }
 
+// Random instances of one size (vertices of a graph, edges of a hypergraph)
+// over the seeds [first, last).
+struct SeedSweep {
+  int size;
+  uint64_t first;
+  uint64_t last;
+};
+
 TEST(TreewidthDpTest, AgreesWithBranchAndBound) {
-  for (uint64_t seed = 0; seed < 12; ++seed) {
-    Graph g = RandomGraph(13, 0.3, seed);
-    ExactTreewidthResult bb = ExactTreewidth(g);
-    ASSERT_TRUE(bb.exact) << seed;
-    auto dp = TreewidthBySubsetDp(g);
-    ASSERT_TRUE(dp.has_value()) << seed;
-    EXPECT_EQ(*dp, bb.upper_bound) << seed;
+  for (const SeedSweep& sweep : {SeedSweep{13, 0, 12}, SeedSweep{12, 40, 46}}) {
+    for (uint64_t seed = sweep.first; seed < sweep.last; ++seed) {
+      Graph g = RandomGraph(sweep.size, 0.3, seed);
+      ExactTreewidthResult bb = ExactTreewidth(g);
+      ASSERT_TRUE(bb.exact) << seed;
+      auto dp = TreewidthBySubsetDp(g);
+      ASSERT_TRUE(dp.has_value()) << seed;
+      EXPECT_EQ(*dp, bb.upper_bound) << seed;
+    }
   }
 }
 
@@ -77,13 +89,15 @@ TEST(GhwDpTest, EmptyAndOversized) {
 }
 
 TEST(GhwDpTest, ThreeExactEnginesAgree) {
-  for (uint64_t seed = 0; seed < 12; ++seed) {
-    Hypergraph h = RandomUniformHypergraph(10, 8, 3, seed);
-    ExactGhwResult ordering_engine = ExactGhw(h);
-    ASSERT_TRUE(ordering_engine.exact) << seed;
-    auto dp_engine = GhwBySubsetDp(h);
-    ASSERT_TRUE(dp_engine.has_value()) << seed;
-    EXPECT_EQ(*dp_engine, ordering_engine.upper_bound) << seed;
+  for (const SeedSweep& sweep : {SeedSweep{8, 0, 12}, SeedSweep{7, 30, 36}}) {
+    for (uint64_t seed = sweep.first; seed < sweep.last; ++seed) {
+      Hypergraph h = RandomUniformHypergraph(10, sweep.size, 3, seed);
+      ExactGhwResult ordering_engine = ExactGhw(h);
+      ASSERT_TRUE(ordering_engine.exact) << seed;
+      auto dp_engine = GhwBySubsetDp(h);
+      ASSERT_TRUE(dp_engine.has_value()) << seed;
+      EXPECT_EQ(*dp_engine, ordering_engine.upper_bound) << seed;
+    }
   }
 }
 

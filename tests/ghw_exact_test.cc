@@ -108,17 +108,6 @@ TEST(ExactGhwTest, SandwichedByHeuristicBounds) {
   }
 }
 
-TEST(ExactGhwTest, SimplicialReductionPreservesAnswer) {
-  for (uint64_t seed = 30; seed < 36; ++seed) {
-    Hypergraph h = RandomUniformHypergraph(10, 7, 3, seed);
-    ExactGhwOptions with, without;
-    without.use_simplicial_reduction = false;
-    const int a = ExactGhw(h, with).upper_bound;
-    const int b = ExactGhw(h, without).upper_bound;
-    EXPECT_EQ(a, b) << seed;
-  }
-}
-
 TEST(ExactGhwTest, BudgetExhaustionGivesBounds) {
   Hypergraph h = RandomUniformHypergraph(30, 25, 4, 5);
   ExactGhwOptions options;

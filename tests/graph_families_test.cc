@@ -6,11 +6,11 @@
 #include "gen/generators.h"
 #include "gen/random_hypergraphs.h"
 #include "gtest/gtest.h"
+#include "oracles/treewidth_dp.h"
 #include "td/bucket_elimination.h"
 #include "td/exact_treewidth.h"
 #include "td/lower_bounds.h"
 #include "td/ordering_heuristics.h"
-#include "td/treewidth_dp.h"
 
 namespace ghd {
 namespace {

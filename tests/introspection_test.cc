@@ -345,7 +345,7 @@ TEST_F(IntrospectionTest, AttributionTreeAccountsItsChildren) {
     GHD_ATTR_SCOPE(cmd, "cmd:test");
     {
       GHD_ATTR_SCOPE(phase_a, "phase-a");
-      GHD_COUNT_N(kDpCells, 11);
+      GHD_COUNT_N(kLpPivots, 11);
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
     }
     {
@@ -378,7 +378,7 @@ TEST_F(IntrospectionTest, AttributionTreeAccountsItsChildren) {
   // Counter deltas land on the node whose scope covered them.
   bool found = false;
   for (const auto& kv : cmd.children[0].counters) {
-    if (kv.first == "dp_cells") {
+    if (kv.first == "lp_pivots") {
       EXPECT_EQ(kv.second, 11);
       found = true;
     }
@@ -388,7 +388,7 @@ TEST_F(IntrospectionTest, AttributionTreeAccountsItsChildren) {
   std::string json;
   obs::AppendAttributionJson(root, &json);
   EXPECT_NE(json.find("\"name\":\"phase-a\""), std::string::npos);
-  EXPECT_NE(json.find("\"dp_cells\":11"), std::string::npos);
+  EXPECT_NE(json.find("\"lp_pivots\":11"), std::string::npos);
 
   const auto top = obs::TopAttributionNodes(root, 3);
   ASSERT_FALSE(top.empty());

@@ -1,4 +1,4 @@
-#include "td/treewidth_dp.h"
+#include "oracles/treewidth_dp.h"
 
 #include <algorithm>
 #include <bit>

@@ -1,11 +1,12 @@
-// Exact treewidth by dynamic programming over subsets of eliminated vertices
-// (Bodlaender et al.): W(S) = min over v in S of max(W(S \ v), deg(S \ v, v)),
+// Test oracle: exact treewidth by dynamic programming over subsets of
+// eliminated vertices (Bodlaender et al.):
+//   W(S) = min over v in S of max(W(S \ v), deg(S \ v, v)),
 // where deg(E, v) counts the neighbors v has after eliminating E. The value
 // depends only on the *set* of eliminated vertices, not their order, so the
-// 2^n-state DP is an independent second exact engine next to the
-// branch-and-bound — used to cross-check it in tests.
-#ifndef GHD_TD_TREEWIDTH_DP_H_
-#define GHD_TD_TREEWIDTH_DP_H_
+// 2^n-state DP is independent of the branch and bound it cross-checks. Built
+// only with the tests, never into libghd.
+#ifndef GHD_TESTS_ORACLES_TREEWIDTH_DP_H_
+#define GHD_TESTS_ORACLES_TREEWIDTH_DP_H_
 
 #include <optional>
 
@@ -28,4 +29,4 @@ std::optional<int> TreewidthBySubsetDp(const Graph& g);
 
 }  // namespace ghd
 
-#endif  // GHD_TD_TREEWIDTH_DP_H_
+#endif  // GHD_TESTS_ORACLES_TREEWIDTH_DP_H_

@@ -11,7 +11,6 @@
 #include "core/ghw_exact.h"
 #include "core/ghw_lower.h"
 #include "core/fractional.h"
-#include "core/ghw_dp.h"
 #include "core/ghw_upper.h"
 #include "gen/circuits.h"
 #include "gen/generators.h"
@@ -20,6 +19,7 @@
 #include "hypergraph/reduce.h"
 #include "gtest/gtest.h"
 #include "htd/det_k_decomp.h"
+#include "oracles/ghw_dp.h"
 #include "td/bucket_elimination.h"
 #include "td/exact_treewidth.h"
 #include "td/lower_bounds.h"

@@ -286,17 +286,6 @@ TEST(ExactTreewidthTest, BudgetExhaustionReportsBounds) {
   EXPECT_EQ(EliminationWidth(g, r.best_ordering), r.upper_bound);
 }
 
-TEST(ExactTreewidthTest, ReductionsDontChangeAnswer) {
-  for (uint64_t seed = 40; seed < 46; ++seed) {
-    Graph g = RandomGraph(12, 0.3, seed);
-    ExactTreewidthOptions with, without;
-    without.use_reductions = false;
-    EXPECT_EQ(ExactTreewidth(g, with).upper_bound,
-              ExactTreewidth(g, without).upper_bound)
-        << seed;
-  }
-}
-
 TEST(ExactTreewidthTest, DisconnectedGraph) {
   Graph g(8);
   // K4 plus a path.

@@ -165,15 +165,51 @@ struct CliRun {
 };
 
 // ---------------------------------------------------------------------------
+// The decomposition cache of the batch and replay commands.
+
+struct CacheFlags {
+  std::string file;     // --cache-file
+  long mb = 64;         // --cache-mb
+  bool enabled = true;  // cleared by --no-cache
+};
+
+// One cache lifecycle: build the cache from --cache-mb under the governor,
+// load --cache-file when it exists, run `body` against it (null under
+// --no-cache), and save it back unless the body failed.
+template <typename Body>
+int WithCache(const CacheFlags& flags, ghd::Budget* governor, Body body) {
+  using namespace ghd;
+  std::optional<DecompCache> cache;
+  if (flags.enabled) {
+    DecompCache::Options copts;
+    copts.max_bytes = static_cast<size_t>(flags.mb) << 20;
+    copts.governor = governor;
+    cache.emplace(copts);
+    if (!flags.file.empty()) {
+      const Status loaded = cache->Load(flags.file);
+      if (!loaded.ok() && loaded.code() != StatusCode::kNotFound) {
+        std::cerr << "warning: ignoring cache file: " << loaded.ToString()
+                  << "\n";
+      }
+    }
+  }
+  const int code = body(cache.has_value() ? &*cache : nullptr);
+  if (cache.has_value() && !flags.file.empty() && code != kExitError) {
+    const Status saved = cache->Save(flags.file);
+    if (!saved.ok()) {
+      std::cerr << "warning: cache not saved: " << saved.ToString() << "\n";
+    }
+  }
+  return code;
+}
+
+// ---------------------------------------------------------------------------
 // decide-many / anytime-many: the batched repeat-traffic front end.
 
 struct BatchParams {
   std::string command;
   std::string manifest_path;
-  std::string cache_file;
   std::string out_file;
-  bool use_cache = true;
-  long cache_mb = 64;
   int k = 2;
   int num_threads = 1;
   long seed = 1;
@@ -211,7 +247,7 @@ void AppendJsonString(std::string* out, const std::string& s) {
   out->push_back('"');
 }
 
-int RunBatchCommand(const BatchParams& bp) {
+int RunBatchCommand(const BatchParams& bp, ghd::DecompCache* cache) {
   using namespace ghd;
   std::vector<std::string> labels, paths;
   if (!ReadManifest(bp.manifest_path, &labels, &paths) || paths.empty()) {
@@ -234,22 +270,6 @@ int RunBatchCommand(const BatchParams& bp) {
     prepared.push_back(PrepareInstance(parsed.value()));
   }
 
-  std::optional<DecompCache> cache;
-  if (bp.use_cache) {
-    DecompCache::Options copts;
-    copts.max_bytes = static_cast<size_t>(bp.cache_mb) << 20;
-    copts.governor = bp.governor;
-    cache.emplace(copts);
-    if (!bp.cache_file.empty()) {
-      const Status loaded = cache->Load(bp.cache_file);
-      if (!loaded.ok() && loaded.code() != StatusCode::kNotFound) {
-        std::cerr << "warning: ignoring cache file: " << loaded.ToString()
-                  << "\n";
-      }
-    }
-  }
-  DecompCache* cache_ptr = cache.has_value() ? &*cache : nullptr;
-
   // Deduplicate: one representative per InstanceKey solves; with the cache
   // on, every other manifest line is served from its entry.
   std::unordered_map<InstanceKey, int, InstanceKeyHash> first_of;
@@ -269,13 +289,12 @@ int RunBatchCommand(const BatchParams& bp) {
     if (decide) {
       KDeciderOptions options;
       options.budget = bp.governor;
-      decide_results[i] = CachedDecideHw(prepared[i], bp.k, cache_ptr,
-                                         options);
+      decide_results[i] = CachedDecideHw(prepared[i], bp.k, cache, options);
     } else {
       AnytimeOptions options;
       options.budget = bp.governor;
       options.seed = static_cast<uint64_t>(bp.seed);
-      anytime_results[i] = CachedAnytimeGhw(prepared[i], options, cache_ptr);
+      anytime_results[i] = CachedAnytimeGhw(prepared[i], options, cache);
     }
   };
   // Pass 1: unique keys (the only real solves when the cache is armed).
@@ -331,18 +350,11 @@ int RunBatchCommand(const BatchParams& bp) {
             << reps.size() << " duplicates=" << (n - reps.size())
             << " served_from_cache=" << served_from_cache
             << " undecided=" << undecided;
-  if (cache_ptr != nullptr) {
-    std::cerr << " cache_entries=" << cache_ptr->size()
-              << " cache_bytes=" << cache_ptr->bytes();
+  if (cache != nullptr) {
+    std::cerr << " cache_entries=" << cache->size()
+              << " cache_bytes=" << cache->bytes();
   }
   std::cerr << "\n";
-
-  if (cache_ptr != nullptr && !bp.cache_file.empty()) {
-    const Status saved = cache_ptr->Save(bp.cache_file);
-    if (!saved.ok()) {
-      std::cerr << "warning: cache not saved: " << saved.ToString() << "\n";
-    }
-  }
   return undecided == 0 ? kExitDecided : kExitTruncated;
 }
 
@@ -351,9 +363,6 @@ int RunBatchCommand(const BatchParams& bp) {
 
 struct ReplayParams {
   std::string trace_path;
-  std::string cache_file;
-  bool use_cache = true;
-  long cache_mb = 64;
   int k_override = 0;  // 0 = the trace's default k
   ghd::Budget* governor = nullptr;
 };
@@ -367,7 +376,7 @@ double PercentileMs(std::vector<double> samples, double q) {
   return samples[rank < samples.size() ? rank : samples.size() - 1];
 }
 
-int RunReplayCommand(const ReplayParams& rp) {
+int RunReplayCommand(const ReplayParams& rp, ghd::DecompCache* cache) {
   using namespace ghd;
   Result<WorkloadTrace> loaded = LoadTrace(rp.trace_path);
   if (!loaded.ok()) {
@@ -377,25 +386,9 @@ int RunReplayCommand(const ReplayParams& rp) {
   const WorkloadTrace& trace = loaded.value();
   const int default_k = rp.k_override > 0 ? rp.k_override : trace.default_k;
 
-  std::optional<DecompCache> cache;
-  if (rp.use_cache) {
-    DecompCache::Options copts;
-    copts.max_bytes = static_cast<size_t>(rp.cache_mb) << 20;
-    copts.governor = rp.governor;
-    cache.emplace(copts);
-    if (!rp.cache_file.empty()) {
-      const Status cache_loaded = cache->Load(rp.cache_file);
-      if (!cache_loaded.ok() &&
-          cache_loaded.code() != StatusCode::kNotFound) {
-        std::cerr << "warning: ignoring cache file: "
-                  << cache_loaded.ToString() << "\n";
-      }
-    }
-  }
-
   IncrementalOptions opts;
   opts.budget = rp.governor;
-  opts.cache = cache.has_value() ? &*cache : nullptr;
+  opts.cache = cache;
   IncrementalSolver solver(trace.base, opts);
 
   std::vector<double> event_ms, decide_ms;
@@ -459,13 +452,6 @@ int RunReplayCommand(const ReplayParams& rp) {
             << " event_ms_p99=" << PercentileMs(event_ms, 0.99)
             << " decide_ms_p50=" << PercentileMs(decide_ms, 0.50)
             << " decide_ms_p99=" << PercentileMs(decide_ms, 0.99) << "\n";
-
-  if (cache.has_value() && !rp.cache_file.empty()) {
-    const Status saved = cache->Save(rp.cache_file);
-    if (!saved.ok()) {
-      std::cerr << "warning: cache not saved: " << saved.ToString() << "\n";
-    }
-  }
   return undecided == 0 ? kExitDecided : kExitTruncated;
 }
 
@@ -480,14 +466,12 @@ int main(int argc, char** argv) {
   long memory_mb = 0;
   long seed = 1;
   long heartbeat_ms = 0;
-  long cache_mb = 64;
+  CacheFlags cache_flags;
   bool want_counters = false;
   bool verbose = false;
-  bool no_cache = false;
   std::string trace_out;
   std::string report_out;
   std::string metrics_out;
-  std::string cache_file;
   std::string out_file;
   std::vector<std::string> args;
   for (int i = 1; i < argc; ++i) {
@@ -526,19 +510,19 @@ int main(int argc, char** argv) {
                long_flag("--memory-mb", &memory_mb) ||
                long_flag("--seed", &seed) ||
                long_flag("--heartbeat-ms", &heartbeat_ms) ||
-               long_flag("--cache-mb", &cache_mb)) {
+               long_flag("--cache-mb", &cache_flags.mb)) {
       if (timeout_ms < 0 || memory_mb < 0 || heartbeat_ms < 0 ||
-          cache_mb < 1) {
+          cache_flags.mb < 1) {
         return Usage();
       }
     } else if (string_flag("--trace-out", &trace_out) ||
                string_flag("--report-out", &report_out) ||
                string_flag("--metrics-out", &metrics_out) ||
-               string_flag("--cache-file", &cache_file) ||
+               string_flag("--cache-file", &cache_flags.file) ||
                string_flag("--out", &out_file)) {
       // handled in the epilogue / batch commands
     } else if (arg == "--no-cache") {
-      no_cache = true;
+      cache_flags.enabled = false;
     } else if (arg == "--counters") {
       want_counters = true;
     } else if (arg == "--no-simd") {
@@ -617,6 +601,19 @@ int main(int argc, char** argv) {
   if (memory_mb > 0) {
     governor.SetMemoryBudget(static_cast<size_t>(memory_mb) * 1024 * 1024);
   }
+  // Each budgeted command's default limit: the positional seconds for the
+  // exact searches, a tick budget for the width-k deciders. Armed before the
+  // sampler starts, so its seq-0 frame already reports the run's fractions.
+  if (deadline_seconds > 0) {
+    governor.SetDeadlineSeconds(deadline_seconds);
+  } else if (command == "ghw" || command == "tw" || command == "decompose") {
+    governor.SetDeadlineSeconds(budget_arg);
+  } else if (command == "hw") {
+    governor.SetTickBudget(args.size() > 2 ? std::atol(args[2].c_str())
+                                           : 2000000);
+  } else if (command == "bip") {
+    governor.SetTickBudget(20000000);
+  }
   governor.InjectFailureFromEnv();
   g_budget = &governor;
   std::signal(SIGINT, HandleSigint);
@@ -657,8 +654,6 @@ int main(int argc, char** argv) {
       return kExitDecided;
     }
     if (command == "ghw") {
-      governor.SetDeadlineSeconds(deadline_seconds > 0 ? deadline_seconds
-                                                       : budget_arg);
       ExactGhwOptions options;
       options.budget = &governor;
       options.seed = static_cast<uint64_t>(seed);
@@ -676,7 +671,6 @@ int main(int argc, char** argv) {
     if (command == "anytime") {
       AnytimeOptions options;
       options.budget = &governor;
-      if (deadline_seconds > 0) governor.SetDeadlineSeconds(deadline_seconds);
       options.seed = static_cast<uint64_t>(seed);
       AnytimeGhwResult r = AnytimeGhw(h, options);
       run.lower_bound = r.lower_bound;
@@ -697,12 +691,6 @@ int main(int argc, char** argv) {
       return r.exact ? kExitDecided : kExitTruncated;
     }
     if (command == "hw") {
-      if (deadline_seconds > 0) {
-        governor.SetDeadlineSeconds(deadline_seconds);
-      } else {
-        governor.SetTickBudget(args.size() > 2 ? std::atol(args[2].c_str())
-                                               : 2000000);
-      }
       KDeciderOptions options;
       options.budget = &governor;
       HypertreeWidthResult r = HypertreeWidth(h, 0, options);
@@ -720,11 +708,6 @@ int main(int argc, char** argv) {
     if (command == "bip") {
       const int k = args.size() > 2 ? std::atoi(args[2].c_str()) : 2;
       if (k < 1) return Usage();
-      if (deadline_seconds > 0) {
-        governor.SetDeadlineSeconds(deadline_seconds);
-      } else {
-        governor.SetTickBudget(20000000);
-      }
       SubedgeClosureOptions closure;
       closure.max_union_arity = k;
       closure.budget = &governor;
@@ -758,8 +741,6 @@ int main(int argc, char** argv) {
       return kExitDecided;
     }
     if (command == "tw") {
-      governor.SetDeadlineSeconds(deadline_seconds > 0 ? deadline_seconds
-                                                       : budget_arg);
       ExactTreewidthOptions options;
       options.budget = &governor;
       ExactTreewidthResult r = ExactTreewidth(h.PrimalGraph(), options);
@@ -792,26 +773,20 @@ int main(int argc, char** argv) {
       return kExitDecided;
     }
     if (command == "replay") {
-      if (deadline_seconds > 0) governor.SetDeadlineSeconds(deadline_seconds);
       ReplayParams rp;
       rp.trace_path = args[1];
-      rp.cache_file = cache_file;
-      rp.use_cache = !no_cache;
-      rp.cache_mb = cache_mb;
       rp.k_override = args.size() > 2 ? std::atoi(args[2].c_str()) : 0;
       if (args.size() > 2 && rp.k_override < 1) return Usage();
       rp.governor = &governor;
-      return RunReplayCommand(rp);
+      return WithCache(cache_flags, &governor, [&](DecompCache* cache) {
+        return RunReplayCommand(rp, cache);
+      });
     }
     if (batch_command) {
-      if (deadline_seconds > 0) governor.SetDeadlineSeconds(deadline_seconds);
       BatchParams bp;
       bp.command = command;
       bp.manifest_path = args[1];
-      bp.cache_file = cache_file;
       bp.out_file = out_file;
-      bp.use_cache = !no_cache;
-      bp.cache_mb = cache_mb;
       if (command == "decide-many") {
         bp.k = args.size() > 2 ? std::atoi(args[2].c_str()) : 2;
         if (bp.k < 1) return Usage();
@@ -819,11 +794,11 @@ int main(int argc, char** argv) {
       bp.num_threads = num_threads;
       bp.seed = seed;
       bp.governor = &governor;
-      return RunBatchCommand(bp);
+      return WithCache(cache_flags, &governor, [&](DecompCache* cache) {
+        return RunBatchCommand(bp, cache);
+      });
     }
     if (command == "decompose") {
-      governor.SetDeadlineSeconds(deadline_seconds > 0 ? deadline_seconds
-                                                       : budget_arg);
       ExactGhwOptions options;
       options.budget = &governor;
       options.seed = static_cast<uint64_t>(seed);
